@@ -69,6 +69,13 @@ echo "== cargo test -p replidedup-ec (GF/RS property suite) =="
 # decode round-trips across every loss pattern of at most m shards.
 cargo test -p replidedup-ec -q
 
+echo "== cargo test -p replidedup-hash (SHA-1 kernels) =="
+# RFC 3174 / FIPS 180 vectors (million-a included) pin both SHA-1
+# compressors, the portable one and the CPU-dispatched SHA-NI one, and a
+# differential proptest checks them against each other over random
+# lengths and streaming split points.
+cargo test -p replidedup-hash -q
+
 echo "== cargo test --test healing (continuous-healing suite) =="
 # Incremental resumable heal: kill a healer mid-repair and resume from
 # its persisted cursor, heal while a concurrent dump runs, crash a dump
@@ -131,6 +138,29 @@ echo "== panic-free gate (heal engine) =="
 if sed '/#\[cfg(test)\]/,$d' crates/core/src/heal.rs | grep -v '^\s*//' \
     | grep -nE 'panic!|\.unwrap\(\)|\.expect\(|unreachable!'; then
   echo "ci: FAIL — panic path in heal-engine non-test code" >&2
+  exit 1
+fi
+
+echo "== unsafe-confinement gate (SHA-NI kernel only) =="
+# The SHA-NI kernel in crates/hash/src/sha1.rs is the one home of
+# `unsafe` outside test code, and every `unsafe` there sits under a
+# `// SAFETY:` comment naming the CPU features detected before the call.
+for f in $(find crates/*/src crates/*/benches src examples -name '*.rs'); do
+  [[ "$f" == crates/hash/src/sha1.rs ]] && continue
+  if sed '/#\[cfg(test)\]/,$d' "$f" | grep -v '^\s*//' | grep -nwE 'unsafe'; then
+    echo "ci: FAIL — unsafe outside the SHA-NI kernel ($f)" >&2
+    exit 1
+  fi
+done
+if ! sed '/#\[cfg(test)\]/,$d' crates/hash/src/sha1.rs | awk '
+    /^[[:space:]]*\/\// { note = note $0 "\n"; next }
+    /(^|[^a-z_])unsafe([^a-z_]|$)/ {
+      if (note !~ /SAFETY:/ || note !~ /sha[ ,]/ || note !~ /sse2/ \
+          || note !~ /ssse3/ || note !~ /sse4\.1/) { print NR ": " $0; bad = 1 }
+    }
+    { note = "" }
+    END { exit bad }'; then
+  echo "ci: FAIL — unsafe in sha1.rs without a SAFETY note naming its features" >&2
   exit 1
 fi
 

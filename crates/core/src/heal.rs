@@ -451,12 +451,15 @@ pub(crate) fn heal_step_impl(
             // referenced fingerprints past the high-water mark; the
             // sorted union (re-truncated) is the window every rank
             // plans. Committed manifests only — an in-flight dump of a
-            // newer generation has nothing here to offer yet.
-            let mine = if i_lead {
-                referenced_after(ctx, node, cursor.after_fp, opts.chunk_batch)?
+            // newer generation has nothing here to offer yet. The node's
+            // references are read once per step: the offer and the
+            // inventory below both come from this one set.
+            let refs = if i_lead {
+                node_references(ctx, node)?
             } else {
-                Vec::new()
+                FpHashSet::default()
             };
+            let mine = referenced_after(&refs, cursor.after_fp, opts.chunk_batch);
             let offered = comm.try_allgather(mine);
             comm.exit_phase("heal.plan");
             let mut window: Vec<Fingerprint> = offered?.into_iter().flatten().collect();
@@ -485,7 +488,7 @@ pub(crate) fn heal_step_impl(
                     inv.referenced = window
                         .iter()
                         .copied()
-                        .filter(|fp| mine_references(ctx, node, fp))
+                        .filter(|fp| refs.contains(fp))
                         .collect();
                     inv.shards = cluster.shard_inventory(node)?;
                     inv.shards.retain(|(key, _)| match key {
@@ -713,38 +716,34 @@ pub(crate) fn heal_impl(
     Ok(report)
 }
 
-/// This node's sorted referenced fingerprints for the cursor's dump,
-/// strictly past `after`, capped at `batch`.
-fn referenced_after(
+/// Every fingerprint a committed manifest on `node` references for the
+/// cursor's dump.
+fn node_references(
     ctx: &DumpContext<'_>,
     node: replidedup_storage::NodeId,
-    after: Option<Fingerprint>,
-    batch: usize,
-) -> Result<Vec<Fingerprint>, RepairError> {
+) -> Result<FpHashSet, RepairError> {
     let mut refs = FpHashSet::default();
     for m in ctx.cluster.manifests_for(node, ctx.dump_id)? {
         refs.extend(m.chunks.iter().copied());
     }
+    Ok(refs)
+}
+
+/// The sorted fingerprints of `refs` strictly past `after`, capped at
+/// `batch`.
+fn referenced_after(
+    refs: &FpHashSet,
+    after: Option<Fingerprint>,
+    batch: usize,
+) -> Vec<Fingerprint> {
     let mut out: Vec<Fingerprint> = refs
-        .into_iter()
+        .iter()
+        .copied()
         .filter(|fp| after.is_none_or(|hw| *fp > hw))
         .collect();
     out.sort_unstable();
     out.truncate(batch);
-    Ok(out)
-}
-
-/// Does any committed manifest on `node` for the cursor's dump reference
-/// `fp`? (Window-sized lookups only — the window is small by design.)
-fn mine_references(
-    ctx: &DumpContext<'_>,
-    node: replidedup_storage::NodeId,
-    fp: &Fingerprint,
-) -> bool {
-    ctx.cluster
-        .manifests_for(node, ctx.dump_id)
-        .map(|ms| ms.iter().any(|m| m.chunks.contains(fp)))
-        .unwrap_or(false)
+    out
 }
 
 /// This node's sorted stripe keys strictly past `after`, capped.

@@ -30,9 +30,11 @@
 //! restore already failed (e.g. manifest unrecoverable), so one lost rank
 //! can never deadlock the others.
 
+use std::collections::hash_map::Entry;
+
 use bytes::Bytes;
 use replidedup_buf::{global_pool, record_copy, Chunk};
-use replidedup_hash::{Fingerprint, FpHashSet};
+use replidedup_hash::{Fingerprint, FpHashMap, FpHashSet};
 use replidedup_mpi::wire::{FrameReader, FrameWriter};
 use replidedup_mpi::{Comm, CommError, Tag};
 use replidedup_storage::{DumpId, StorageError, StripeKey};
@@ -459,20 +461,26 @@ fn restore_chunks(
         // copy.
         let mut buf = global_pool().take(m.total_len as usize);
         let mut err = None;
+        // Verified reassemble: every distinct chunk is re-hashed against
+        // its fingerprint on first use, so silent bit rot can never leak
+        // into a restored buffer. Later occurrences reuse the immutable
+        // handle that passed, so each distinct chunk is hashed once per
+        // restore call; the map dies with the call.
+        let mut verified: FpHashMap<Bytes> = FpHashMap::default();
         for (i, fp) in m.chunks.iter().enumerate() {
-            // Verified reassemble: every chunk is re-hashed before use, so
-            // silent bit rot can never leak into a restored buffer.
-            match fetch_verified(comm, ctx, policy, node, fp) {
-                Ok(data) => {
-                    debug_assert_eq!(data.len(), m.chunk_len(i), "chunk {i} length mismatch");
-                    buf.extend_from_slice(&data);
-                    record_copy(data.len());
-                }
-                Err(e) => {
-                    err = Some(e);
-                    break;
-                }
-            }
+            let data = match verified.entry(*fp) {
+                Entry::Occupied(hit) => hit.into_mut(),
+                Entry::Vacant(slot) => match fetch_verified(comm, ctx, policy, node, fp) {
+                    Ok(data) => slot.insert(data),
+                    Err(e) => {
+                        err = Some(e);
+                        break;
+                    }
+                },
+            };
+            debug_assert_eq!(data.len(), m.chunk_len(i), "chunk {i} length mismatch");
+            buf.extend_from_slice(data);
+            record_copy(data.len());
         }
         match err {
             Some(e) => Err(e),
@@ -660,6 +668,81 @@ mod tests {
             if let Ok(buf) = r {
                 assert_eq!(*buf, buffer_of(*rank), "rank {rank} restored corrupt data");
             }
+        }
+    }
+
+    #[test]
+    fn repeated_corrupt_chunk_is_verified_quarantined_and_rescued_once() {
+        use replidedup_hash::ChunkHasher;
+        use replidedup_trace::EventKind;
+        // Rank 1's manifest references one private chunk sixteen times, and
+        // its node's copy is bit-rotted. Hashing each distinct chunk once
+        // must still catch the rot on first use: the restore stays
+        // byte-exact, the bad copy is quarantined, and the replica fallback
+        // runs exactly once (later occurrences reuse the verified handle).
+        let private = [0x5Au8; 64];
+        let fp = Sha1ChunkHasher.fingerprint(&private);
+        let buffer = |rank: u32| {
+            if rank == 1 {
+                let mut buf = private.repeat(16);
+                buf.extend_from_slice(&[0xCD; 20]);
+                buf
+            } else {
+                buffer_of(rank)
+            }
+        };
+        for strategy in [Strategy::LocalDedup, Strategy::CollDedup] {
+            let cluster = Cluster::new(Placement::one_per_node(4));
+            let cfg = DumpConfig::paper_defaults(strategy)
+                .with_replication(3)
+                .with_chunk_size(64);
+            let out = WorldConfig::traced()
+                .launch(4, |comm| {
+                    let ctx = DumpContext {
+                        cluster: &cluster,
+                        hasher: &Sha1ChunkHasher,
+                        dump_id: 1,
+                    };
+                    let buf = buffer(comm.rank());
+                    dump_impl(comm, &ctx, &Chunk::from(&buf[..]), &cfg).expect("dump");
+                    comm.barrier();
+                    if comm.rank() == 1 {
+                        let rotted = cluster.corrupt_chunk(cluster.node_of(1), &fp);
+                        assert_eq!(rotted, Ok(true), "rank 1's node holds its chunk");
+                    }
+                    comm.barrier();
+                    comm.take_trace_events();
+                    let restored =
+                        restore_impl(comm, &ctx, strategy, &RetryPolicy::default_restore())
+                            .map(Vec::from);
+                    let fallbacks: u64 = comm
+                        .take_trace_events()
+                        .iter()
+                        .filter(|e| e.name == "restore_replica_fallback")
+                        .map(|e| match e.kind {
+                            EventKind::Counter(v) => v,
+                            _ => 0,
+                        })
+                        .sum();
+                    (comm.rank(), restored, fallbacks)
+                })
+                .expect_all();
+            for (rank, restored, fallbacks) in out.results {
+                assert_eq!(
+                    restored,
+                    Ok(buffer(rank)),
+                    "{strategy:?} rank {rank} byte-exact"
+                );
+                assert_eq!(
+                    fallbacks,
+                    u64::from(rank == 1),
+                    "{strategy:?} rank {rank} replica fallbacks"
+                );
+            }
+            // Re-seeding alone cannot overwrite a stored copy, so an intact
+            // copy on node 1 means the rotted one was quarantined first.
+            let reseeded = cluster.get_chunk(1, &fp).expect("re-seeded on node 1");
+            assert_eq!(Sha1ChunkHasher.fingerprint(&reseeded), fp, "{strategy:?}");
         }
     }
 
