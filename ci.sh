@@ -164,6 +164,31 @@ if ! sed '/#\[cfg(test)\]/,$d' crates/hash/src/sha1.rs | awk '
   exit 1
 fi
 
+echo "== one-planner gate (heal and repair plan once) =="
+# Heal and repair steps gather every leader's inventory at one planner
+# rank, which runs build_plan once and broadcasts the plan. Outside unit
+# tests, build_plan's one caller is plan_at_planner in
+# crates/core/src/repair.rs; a call anywhere else is per-rank planning
+# creeping back (every rank repeating the same O(world) plan).
+stray=0
+for f in $(find crates/*/src crates/*/benches src examples -name '*.rs'); do
+  sed '/#\[cfg(test)\]/,$d' "$f" | awk -v f="$f" '
+    /^[[:space:]]*\/\// { next }
+    /^[a-z]/ { fn = "" }
+    /^(pub(\([a-z]+\))? )?fn [a-z_0-9]+/ {
+      match($0, /fn [a-z_0-9]+/); fn = substr($0, RSTART + 3, RLENGTH - 3)
+    }
+    /build_plan/ && !/fn build_plan\(/ \
+        && !(f == "crates/core/src/repair.rs" && fn == "plan_at_planner") {
+      print f ":" NR ": " $0; bad = 1
+    }
+    END { exit bad }' || stray=1
+done
+if [[ $stray -ne 0 ]]; then
+  echo "ci: FAIL — build_plan used outside plan_at_planner; plan at the planner" >&2
+  exit 1
+fi
+
 echo "== stray-copy gate (hot-path modules) =="
 # The dump/restore/repair hot paths moved to refcounted Chunk payloads;
 # a .to_vec() creeping back in is a silent full-payload copy.

@@ -17,11 +17,20 @@
 //! * [`heal_step_impl`] advances the cursor by one **bounded step**: a
 //!   small collective over at most [`HealOptions::chunk_batch`] (or
 //!   `owner_batch` / `stripe_batch`) items. Each step re-plans its
-//!   window against the *current* cluster state with the same pure
-//!   [`crate::repair::build_plan`] the monolithic repair uses, then
-//!   post-filters the plan to the window — so healing under live
+//!   window against the *current* cluster state, so healing under live
 //!   `dump`/`restore` traffic never acts on stale inventory for longer
 //!   than one window.
+//! * Each step is planned **once**. Node leaders send their window
+//!   offers, then their windowed inventories, to one planner rank (the
+//!   lowest live leader, [`crate::repair::planner_rank`]); every other
+//!   rank sends an empty contribution. The planner merges the offers
+//!   into the window and broadcasts it, then runs the same pure planner
+//!   the monolithic repair uses ([`crate::repair::plan_at_planner`]) and
+//!   broadcasts the plan, which every rank narrows to the window. Every
+//!   rank applies the identical plan, so cursors and [`HealReport`]s stay
+//!   identical everywhere, and the planning cost is one rank's work per
+//!   step instead of every rank's. A rank death fails the gather or the
+//!   broadcast with a typed [`RepairError`], never a hang.
 //! * Between steps the world is free: a foreground dump of a *newer*
 //!   generation can run its own collectives, and the healer's next step
 //!   simply sees (and skips) whatever the dump committed. In-flight
@@ -51,12 +60,14 @@ use std::time::Duration;
 use replidedup_hash::{Fingerprint, FpHashSet};
 use replidedup_mpi::wire::{FrameReader, FrameWriter, Wire, WireError, WireResult};
 use replidedup_mpi::{Comm, Tag};
-use replidedup_storage::{DumpId, GcStats, Manifest, SessionId, StripeKey};
+use replidedup_storage::{Cluster, DumpId, GcStats, Manifest, SessionId, ShardMeta, StripeKey};
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
-use crate::global::{try_reduce_global_view, GlobalView};
-use crate::repair::{build_plan, leader_of, lowest_live_leader, NodeInventory, RepairError};
+use crate::global::GlobalView;
+use crate::repair::{
+    leader_of, lowest_live_leader, plan_at_planner, planner_rank, NodeInventory, RepairError,
+};
 
 const TAG_HEAL_CHUNKS: Tag = 0x5250_0009;
 const TAG_HEAL_MANIFEST: Tag = 0x5250_000A;
@@ -355,8 +366,9 @@ fn first_data_stage(strategy: Strategy) -> HealStage {
 /// Advance `cursor` by one bounded collective step, folding what the
 /// step did into `report`. Collective: every rank of the world must call
 /// this with an identical cursor and identical options, and all ranks
-/// advance their cursors identically (every decision is a function of
-/// allgathered data). A no-op once the cursor [`HealCursor::is_done`].
+/// advance their cursors identically (every decision is a function of a
+/// window or plan the planner broadcast, or of allreduced counts). A
+/// no-op once the cursor [`HealCursor::is_done`].
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn heal_step_impl(
     comm: &mut Comm,
@@ -448,24 +460,24 @@ pub(crate) fn heal_step_impl(
         HealStage::Chunks => {
             comm.enter_phase("heal.plan");
             // Window: each live leader offers its first `chunk_batch`
-            // referenced fingerprints past the high-water mark; the
-            // sorted union (re-truncated) is the window every rank
-            // plans. Committed manifests only — an in-flight dump of a
-            // newer generation has nothing here to offer yet. The node's
+            // referenced fingerprints past the high-water mark, and the
+            // planner's truncated union is the window every rank plans.
+            // Committed manifests only — an in-flight dump of a newer
+            // generation has nothing here to offer yet. The node's
             // references are read once per step: the offer and the
             // inventory below both come from this one set.
-            let refs = if i_lead {
-                node_references(ctx, node)?
-            } else {
-                FpHashSet::default()
-            };
-            let mine = referenced_after(&refs, cursor.after_fp, opts.chunk_batch);
-            let offered = comm.try_allgather(mine);
+            let offered = (|| -> Result<_, RepairError> {
+                let refs = if i_lead {
+                    node_references(ctx, node)?
+                } else {
+                    FpHashSet::default()
+                };
+                let offer = referenced_after(&refs, cursor.after_fp, opts.chunk_batch);
+                let window = agree_window(comm, cluster, offer, opts.chunk_batch)?;
+                Ok((refs, window))
+            })();
             comm.exit_phase("heal.plan");
-            let mut window: Vec<Fingerprint> = offered?.into_iter().flatten().collect();
-            window.sort_unstable();
-            window.dedup();
-            window.truncate(opts.chunk_batch);
+            let (refs, window) = offered?;
             let Some(&last) = window.last() else {
                 cursor.stage = HealStage::Manifests;
                 cursor.steps_taken += 1;
@@ -496,13 +508,10 @@ pub(crate) fn heal_step_impl(
                         StripeKey::Blob { .. } => false,
                     });
                 }
-                let global = try_reduce_global_view(comm, view, k, usize::MAX);
-                let world_inv = comm.try_allgather(inv);
-                Ok((global?, world_inv?))
+                plan_at_planner(comm, ctx, strategy, k, view, inv)
             })();
             comm.exit_phase("heal.plan");
-            let (global, world_inv) = step?;
-            let plan = windowed_plan(ctx, strategy, k, n, &global, &world_inv);
+            let plan = step?;
 
             comm.enter_phase("heal.transfer");
             let moved = transfer_chunks(comm, ctx, &plan.chunk_moves, bucket)
@@ -538,11 +547,10 @@ pub(crate) fn heal_step_impl(
                     inv.absent = cluster.absent_ranks(node, ctx.dump_id)?;
                     inv.absent.retain(|r| window.binary_search(r).is_ok());
                 }
-                comm.try_allgather(inv).map_err(RepairError::from)
+                plan_at_planner(comm, ctx, strategy, k, GlobalView::default(), inv)
             })();
             comm.exit_phase("heal.plan");
-            let world_inv = step?;
-            let mut plan = windowed_plan(ctx, strategy, k, n, &GlobalView::default(), &world_inv);
+            let mut plan = step?;
             // The windowed inventory legitimately knows nothing about
             // owners outside the window, so the plan flags them all as
             // lost; only in-window verdicts are real.
@@ -593,11 +601,10 @@ pub(crate) fn heal_step_impl(
                         StripeKey::Chunk(_) => false,
                     });
                 }
-                comm.try_allgather(inv).map_err(RepairError::from)
+                plan_at_planner(comm, ctx, strategy, k, GlobalView::default(), inv)
             })();
             comm.exit_phase("heal.plan");
-            let world_inv = step?;
-            let mut plan = windowed_plan(ctx, strategy, k, n, &GlobalView::default(), &world_inv);
+            let mut plan = step?;
             plan.unrepairable_blobs
                 .retain(|r| window.binary_search(r).is_ok());
             plan.blob_moves
@@ -617,17 +624,20 @@ pub(crate) fn heal_step_impl(
         }
         HealStage::Stripes => {
             comm.enter_phase("heal.plan");
-            let mine = if i_lead {
-                stripes_after(ctx, node, cursor.after_stripe, opts.stripe_batch)?
-            } else {
-                Vec::new()
-            };
-            let offered = comm.try_allgather(mine);
+            // The node's shards are read once per step: the window offer
+            // and the inventory below both come from this one list.
+            let offered = (|| -> Result<_, RepairError> {
+                let shards = if i_lead {
+                    cluster.shard_inventory(node)?
+                } else {
+                    Vec::new()
+                };
+                let offer = stripes_after(&shards, cursor.after_stripe, opts.stripe_batch);
+                let window = agree_window(comm, cluster, offer, opts.stripe_batch)?;
+                Ok((shards, window))
+            })();
             comm.exit_phase("heal.plan");
-            let mut window: Vec<StripeKey> = offered?.into_iter().flatten().collect();
-            window.sort_unstable();
-            window.dedup();
-            window.truncate(opts.stripe_batch);
+            let (mut shards, window) = offered?;
             let Some(&last) = window.last() else {
                 cursor.stage = HealStage::Done;
                 cursor.steps_taken += 1;
@@ -636,19 +646,15 @@ pub(crate) fn heal_step_impl(
             };
 
             comm.enter_phase("heal.plan");
-            let step = (|| -> Result<_, RepairError> {
-                let mut inv = NodeInventory::default();
-                if i_lead {
-                    inv.leads_live_node = true;
-                    inv.shards = cluster.shard_inventory(node)?;
-                    inv.shards
-                        .retain(|(key, _)| window.binary_search(key).is_ok());
-                }
-                comm.try_allgather(inv).map_err(RepairError::from)
-            })();
+            let mut inv = NodeInventory::default();
+            if i_lead {
+                inv.leads_live_node = true;
+                shards.retain(|(key, _)| window.binary_search(key).is_ok());
+                inv.shards = shards;
+            }
+            let step = plan_at_planner(comm, ctx, strategy, k, GlobalView::default(), inv);
             comm.exit_phase("heal.plan");
-            let world_inv = step?;
-            let plan = windowed_plan(ctx, strategy, k, n, &GlobalView::default(), &world_inv);
+            let plan = step?;
 
             comm.enter_phase("heal.stripes");
             let rebuilt = (|| -> Result<_, RepairError> {
@@ -746,24 +752,41 @@ fn referenced_after(
     out
 }
 
-/// This node's sorted stripe keys strictly past `after`, capped.
+/// The distinct stripe keys of a node's sorted shard inventory strictly
+/// past `after`, capped at `batch`.
 fn stripes_after(
-    ctx: &DumpContext<'_>,
-    node: replidedup_storage::NodeId,
+    shards: &[(StripeKey, ShardMeta)],
     after: Option<StripeKey>,
     batch: usize,
-) -> Result<Vec<StripeKey>, RepairError> {
-    let mut keys: Vec<StripeKey> = ctx
-        .cluster
-        .shard_inventory(node)?
-        .into_iter()
-        .map(|(key, _)| key)
+) -> Vec<StripeKey> {
+    let mut keys: Vec<StripeKey> = shards
+        .iter()
+        .map(|(key, _)| *key)
         .filter(|key| after.is_none_or(|hw| *key > hw))
         .collect();
-    keys.sort_unstable();
     keys.dedup();
     keys.truncate(batch);
-    Ok(keys)
+    keys
+}
+
+/// Agree on a step's window. Every rank sends its sorted offer to the
+/// planner, which keeps the first `batch` keys of their union and
+/// broadcasts them. Collective; non-leaders offer nothing.
+fn agree_window<T: Wire + Ord>(
+    comm: &mut Comm,
+    cluster: &Cluster,
+    offer: Vec<T>,
+    batch: usize,
+) -> Result<Vec<T>, RepairError> {
+    let planner = planner_rank(cluster, comm.size());
+    let window = comm.try_gather(planner, offer)?.map(|offers| {
+        let mut window: Vec<T> = offers.into_iter().flatten().collect();
+        window.sort_unstable();
+        window.dedup();
+        window.truncate(batch);
+        window
+    });
+    Ok(comm.try_bcast(planner, window)?)
 }
 
 /// The owner-rank window past `after`: at most `batch` ranks of the
@@ -771,34 +794,6 @@ fn stripes_after(
 fn owner_window(after: Option<u32>, world: u32, batch: usize) -> Vec<u32> {
     let start = after.map_or(0, |o| o.saturating_add(1));
     (start..world).take(batch).collect()
-}
-
-/// Run [`build_plan`] over a windowed inventory with the world's real
-/// leader topology.
-fn windowed_plan(
-    ctx: &DumpContext<'_>,
-    strategy: Strategy,
-    k: u32,
-    n: u32,
-    global: &GlobalView,
-    world_inv: &[NodeInventory],
-) -> crate::repair::RepairPlan {
-    let cluster = ctx.cluster;
-    let home_leader: Vec<u32> = (0..n)
-        .map(|r| leader_of(cluster, cluster.node_of(r), n).unwrap_or(r))
-        .collect();
-    let leader_of_node: Vec<Option<u32>> = (0..cluster.node_count())
-        .map(|nd| leader_of(cluster, nd, n).filter(|_| cluster.is_alive(nd)))
-        .collect();
-    build_plan(
-        k,
-        strategy,
-        ctx.dump_id,
-        global,
-        world_inv,
-        &home_leader,
-        &leader_of_node,
-    )
 }
 
 fn merge_fps(into: &mut Vec<Fingerprint>, add: Vec<Fingerprint>) {

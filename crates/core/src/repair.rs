@@ -12,17 +12,18 @@
 //!    chunks ([`replidedup_storage::Cluster::scrub`]) and quarantines
 //!    corrupt copies, so the planning phase only ever counts intact
 //!    replicas.
-//! 2. **Plan** (`repair.plan`) — leaders contribute their chunk inventory
-//!    to the same `HMERGE` reduction the dump uses
-//!    ([`crate::try_reduce_global_view`] with the full inventory,
-//!    `F = ∞`). Run with `k = K`, the reduced view gives each
-//!    fingerprint's live-copy count, and — the key observation — any entry
-//!    with `freq < K` carries its *complete, untruncated* holder list
-//!    (truncation only triggers past `K`), which is exactly the set of
-//!    fingerprints repair cares about. An allgathered per-node inventory
-//!    (manifest owners, blob owners, referenced fingerprints, tombstones)
-//!    completes the picture, and every rank derives the identical transfer
-//!    plan from the identical inputs: under-replicated chunks go to the
+//! 2. **Plan** (`repair.plan`) — leaders send their chunk inventory and a
+//!    per-node inventory (manifest owners, blob owners, referenced
+//!    fingerprints, tombstones, shards) to one planner rank, the lowest
+//!    live leader ([`plan_at_planner`]). The planner folds the chunk
+//!    inventories with the dump's `HMERGE` operator
+//!    ([`crate::GlobalView::merge`], `F = ∞`). Run with `k = K`, the
+//!    folded view gives each fingerprint's live-copy count, and — the key
+//!    observation — any entry with `freq < K` carries its *complete,
+//!    untruncated* holder list (truncation only triggers past `K`), which
+//!    is exactly the set of fingerprints repair cares about. The planner
+//!    derives the transfer plan once and broadcasts it, so every rank acts
+//!    on the identical plan: under-replicated chunks go to the
 //!    least-loaded live non-holders, lost manifests/blobs are
 //!    re-materialized from any surviving copy (the owner's own node
 //!    first).
@@ -62,7 +63,7 @@ use replidedup_storage::{
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
-use crate::global::{try_reduce_global_view, GlobalView};
+use crate::global::GlobalView;
 
 const TAG_REPAIR_MANIFEST: Tag = 0x5250_0005;
 const TAG_REPAIR_CHUNKS: Tag = 0x5250_0006;
@@ -77,8 +78,8 @@ pub const REPAIR_PHASES: [&str; 4] = [
 ];
 
 /// What a repair collective did. Identical on every rank (healing counts
-/// are allreduced; the unrepairable lists fall out of the deterministic
-/// plan every rank computes).
+/// are allreduced; the unrepairable lists come from the one broadcast
+/// plan).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 #[non_exhaustive]
 pub struct RepairStats {
@@ -181,8 +182,8 @@ impl From<CommError> for RepairError {
     }
 }
 
-/// One node's allgathered repair inventory, contributed by its leader rank
-/// (every other rank, and leaders of dead nodes, contribute the default).
+/// One node's repair inventory, sent to the planner by its leader rank
+/// (every other rank, and leaders of dead nodes, send the default).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub(crate) struct NodeInventory {
     /// True only in the entry of a live node's leader rank.
@@ -223,8 +224,9 @@ impl Wire for NodeInventory {
     }
 }
 
-/// The deterministic transfer plan. Every rank computes the identical plan
-/// from the identical allgathered inputs; moves name leader ranks.
+/// The deterministic transfer plan. The planner rank computes it once
+/// from the gathered inputs and broadcasts it, so every rank acts on the
+/// identical plan; moves name leader ranks.
 #[derive(Debug, Default, PartialEq, Eq)]
 pub(crate) struct RepairPlan {
     /// `(src_leader, dst_leader, fp)`: src serves the chunk, dst stores it.
@@ -240,6 +242,32 @@ pub(crate) struct RepairPlan {
     pub(crate) unrepairable_manifests: Vec<u32>,
     pub(crate) unrepairable_blobs: Vec<u32>,
     pub(crate) unrepairable_stripes: Vec<StripeKey>,
+}
+
+impl Wire for RepairPlan {
+    fn encode(&self, buf: &mut Vec<u8>) {
+        self.chunk_moves.encode(buf);
+        self.manifest_moves.encode(buf);
+        self.blob_moves.encode(buf);
+        self.shard_rebuilds.encode(buf);
+        self.unrepairable_chunks.encode(buf);
+        self.unrepairable_manifests.encode(buf);
+        self.unrepairable_blobs.encode(buf);
+        self.unrepairable_stripes.encode(buf);
+    }
+
+    fn decode(input: &mut &[u8]) -> WireResult<Self> {
+        Ok(RepairPlan {
+            chunk_moves: Vec::decode(input)?,
+            manifest_moves: Vec::decode(input)?,
+            blob_moves: Vec::decode(input)?,
+            shard_rebuilds: Vec::decode(input)?,
+            unrepairable_chunks: Vec::decode(input)?,
+            unrepairable_manifests: Vec::decode(input)?,
+            unrepairable_blobs: Vec::decode(input)?,
+            unrepairable_stripes: Vec::decode(input)?,
+        })
+    }
 }
 
 /// Pick up to `deficit` destinations among live non-holder leaders,
@@ -268,8 +296,9 @@ pub(crate) fn pick_destinations(
     cands
 }
 
-/// Derive the transfer plan. Pure: every rank calls this with the
-/// identical reduced view and inventory and gets the identical plan.
+/// Derive the transfer plan. Pure: the same reduced view and inventory
+/// always give the same plan. Only [`plan_at_planner`] calls it, once per
+/// plan step, on the planner rank.
 ///
 /// `home_leader[r]` is the leader rank of rank `r`'s own node — the
 /// preferred destination when re-materializing `r`'s manifest or blob, so
@@ -446,6 +475,63 @@ pub(crate) fn lowest_live_leader(cluster: &Cluster, world: u32) -> Option<u32> {
     })
 }
 
+/// The rank that plans every heal and repair step: the lowest live
+/// leader, or rank 0 when no node is alive. A function of the cluster's
+/// liveness alone, so every rank names the same planner without a
+/// collective.
+pub(crate) fn planner_rank(cluster: &Cluster, world: u32) -> u32 {
+    lowest_live_leader(cluster, world).unwrap_or(0)
+}
+
+/// Plan one step once. Every rank sends its chunk view and inventory to
+/// the planner (non-leaders send empty ones); the planner folds the views
+/// with `HMERGE`, runs [`build_plan`] and broadcasts the plan.
+/// Collective: every rank returns the identical plan, so cursors and
+/// reports stay identical.
+///
+/// A rank death fails the gather at the planner or the broadcast
+/// everywhere else, so no survivor waits on a plan that never comes.
+pub(crate) fn plan_at_planner(
+    comm: &mut Comm,
+    ctx: &DumpContext<'_>,
+    strategy: Strategy,
+    k: u32,
+    view: GlobalView,
+    inv: NodeInventory,
+) -> Result<RepairPlan, RepairError> {
+    let cluster = ctx.cluster;
+    let n = comm.size();
+    let planner = planner_rank(cluster, n);
+    let plan = comm.try_gather(planner, (view, inv))?.map(|all| {
+        let (views, world_inv): (Vec<GlobalView>, Vec<NodeInventory>) = all.into_iter().unzip();
+        // Each view is one rank's leaf, so the fold merges disjoint
+        // blocks as HMERGE requires. Holder lists are truncated only past
+        // `k`, and the plan reads only the lists of entries below `k`, so
+        // the fold order cannot change the plan.
+        let global = views
+            .into_iter()
+            .filter(|v| !v.is_empty())
+            .reduce(|a, b| GlobalView::merge(a, b, k, usize::MAX))
+            .unwrap_or_default();
+        let home_leader: Vec<u32> = (0..n)
+            .map(|r| leader_of(cluster, cluster.node_of(r), n).unwrap_or(r))
+            .collect();
+        let leader_of_node: Vec<Option<u32>> = (0..cluster.node_count())
+            .map(|nd| leader_of(cluster, nd, n).filter(|_| cluster.is_alive(nd)))
+            .collect();
+        build_plan(
+            k,
+            strategy,
+            ctx.dump_id,
+            &global,
+            &world_inv,
+            &home_leader,
+            &leader_of_node,
+        )
+    });
+    Ok(comm.try_bcast(planner, plan)?)
+}
+
 /// Collective scrub: every live node is scrubbed by its leader rank and
 /// the per-node reports are merged, so all ranks return the identical
 /// cluster-wide [`ScrubReport`]. Read-only — corrupt chunks are reported,
@@ -561,25 +647,9 @@ pub(crate) fn repair_impl(
         referenced.sort_unstable();
         inv.referenced = referenced;
     }
-    let global = try_reduce_global_view(comm, view, k, usize::MAX);
-    let world_inv = comm.try_allgather(inv);
+    let plan = plan_at_planner(comm, ctx, strategy, k, view, inv);
     comm.exit_phase("repair.plan");
-    let (global, world_inv) = (global?, world_inv?);
-    let home_leader: Vec<u32> = (0..n)
-        .map(|r| leader_of(cluster, cluster.node_of(r), n).unwrap_or(r))
-        .collect();
-    let leader_of_node: Vec<Option<u32>> = (0..cluster.node_count())
-        .map(|nd| leader_of(cluster, nd, n).filter(|_| cluster.is_alive(nd)))
-        .collect();
-    let plan = build_plan(
-        k,
-        strategy,
-        ctx.dump_id,
-        &global,
-        &world_inv,
-        &home_leader,
-        &leader_of_node,
-    );
+    let plan = plan?;
 
     // ---- Phase 3: rebuild erasure-coded shards ---------------------------
     comm.enter_phase("repair.stripes");
@@ -809,6 +879,45 @@ mod tests {
             shards: vec![(StripeKey::Chunk(fp(9)), meta(4, 2, 5))],
         };
         assert_eq!(NodeInventory::from_bytes(&i.to_bytes()).unwrap(), i);
+    }
+
+    #[test]
+    fn repair_plan_wire_roundtrip() {
+        let p = RepairPlan {
+            chunk_moves: vec![(0, 2, fp(1))],
+            manifest_moves: vec![(1, 3, 4)],
+            blob_moves: vec![(2, 0, 5)],
+            shard_rebuilds: vec![(
+                3,
+                StripeKey::Blob {
+                    owner: 6,
+                    dump_id: 7,
+                },
+                5,
+            )],
+            unrepairable_chunks: vec![fp(8)],
+            unrepairable_manifests: vec![9],
+            unrepairable_blobs: vec![10],
+            unrepairable_stripes: vec![StripeKey::Chunk(fp(11))],
+        };
+        assert_eq!(RepairPlan::from_bytes(&p.to_bytes()).unwrap(), p);
+    }
+
+    /// Every rank must name the same planner from cluster state alone:
+    /// the lowest leader of a live node, and rank 0 when none is live.
+    #[test]
+    fn planner_is_the_lowest_live_leader_or_rank_zero() {
+        let c = Cluster::new(replidedup_storage::Placement::pack(6, 2));
+        assert_eq!(planner_rank(&c, 6), 0);
+        c.fail_node(0);
+        assert_eq!(
+            planner_rank(&c, 6),
+            2,
+            "node 0 is down: node 1's leader plans"
+        );
+        c.fail_node(1);
+        c.fail_node(2);
+        assert_eq!(planner_rank(&c, 6), 0, "no live node: rank 0 plans");
     }
 
     #[test]

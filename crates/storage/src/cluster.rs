@@ -12,7 +12,7 @@
 //! keep access races out while still letting different nodes proceed in
 //! parallel, mirroring per-device independence.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
 
 use bytes::Bytes;
@@ -238,7 +238,8 @@ pub struct NodeState {
     /// Erasure-coded shards keyed by `(stripe, shard index)`: each entry is
     /// self-describing (geometry + role in [`ShardMeta`]), so any `k`
     /// survivors of a stripe reconstruct the payload without a manifest.
-    pub(crate) shards: HashMap<(StripeKey, u8), StoredShard>,
+    /// Ordered, so one stripe's shards are a contiguous key range.
+    pub(crate) shards: BTreeMap<(StripeKey, u8), StoredShard>,
     shard_bytes: u64,
     /// Remaining injected transient read failures: while positive, each
     /// read (chunk/manifest/blob fetch) consumes one and fails with
@@ -681,13 +682,10 @@ impl Cluster {
     /// analogous to [`Cluster::chunk_fps`].
     pub fn shard_inventory(&self, node: NodeId) -> StorageResult<Vec<(StripeKey, ShardMeta)>> {
         self.with_node(node, |n| {
-            let mut inv: Vec<(StripeKey, ShardMeta)> = n
-                .shards
+            n.shards
                 .iter()
                 .map(|((key, _), s)| (*key, s.meta))
-                .collect();
-            inv.sort_unstable_by_key(|(key, meta)| (*key, meta.index));
-            inv
+                .collect()
         })
     }
 
@@ -712,24 +710,16 @@ impl Cluster {
     /// and reconstruction consults the cluster directly only as the
     /// last-resort repair index.
     pub fn gather_shards(&self, key: StripeKey) -> Vec<StoredShard> {
-        let mut found: HashMap<u8, StoredShard> = HashMap::new();
+        let mut found: BTreeMap<u8, StoredShard> = BTreeMap::new();
         for node in 0..self.node_count() {
-            let shards = self
-                .with_node(node, |n| {
-                    n.shards
-                        .iter()
-                        .filter(|((k, _), _)| *k == key)
-                        .map(|(_, s)| s.clone())
-                        .collect::<Vec<_>>()
-                })
-                .unwrap_or_default();
-            for s in shards {
-                found.entry(s.meta.index).or_insert(s);
-            }
+            // A dead node holds nothing: its `NodeDown` is skipped.
+            let _ = self.with_node(node, |n| {
+                for (_, s) in n.shards.range((key, 0)..=(key, u8::MAX)) {
+                    found.entry(s.meta.index).or_insert_with(|| s.clone());
+                }
+            });
         }
-        let mut out: Vec<StoredShard> = found.into_values().collect();
-        out.sort_unstable_by_key(|s| s.meta.index);
-        out
+        found.into_values().collect()
     }
 
     /// Reconstruct a stripe's payload from any `k` surviving shards across
@@ -1360,6 +1350,85 @@ mod tests {
             c.get_shard(nodes[0], key, 0),
             Err(StorageError::MissingShard { key, index: 0 })
         );
+    }
+
+    /// Adjacent stripe keys share a node's ordered shard index; a lookup
+    /// must return exactly the requested stripe, one shard per index,
+    /// lowest node first. Neighbouring keys hold disjoint shard indices
+    /// (the edge pair 0 and k+m-1, or the pair inside it), so a lookup
+    /// that strays into a neighbour's range returns extra shards.
+    #[test]
+    fn gather_shards_returns_exactly_the_requested_stripe() {
+        let c = Cluster::new(Placement::one_per_node(3));
+        let (k, m) = (4u8, 2u8);
+        let keys = [
+            StripeKey::Chunk(fp(1)),
+            StripeKey::Chunk(fp(2)),
+            StripeKey::Chunk(fp(3)),
+            StripeKey::Blob {
+                owner: 0,
+                dump_id: 1,
+            },
+            StripeKey::Blob {
+                owner: 0,
+                dump_id: 2,
+            },
+            StripeKey::Blob {
+                owner: 1,
+                dump_id: 1,
+            },
+        ];
+        let mut sorted = keys;
+        sorted.sort_unstable();
+        let indices = |ki: usize| {
+            if ki.is_multiple_of(2) {
+                [0, k + m - 1]
+            } else {
+                [1, k + m - 2]
+            }
+        };
+        let tagged =
+            |ki: usize, index: u8, node: NodeId| Bytes::from(vec![ki as u8, index, node as u8]);
+        for (ki, key) in sorted.iter().enumerate() {
+            for index in indices(ki) {
+                let meta = ShardMeta {
+                    k,
+                    m,
+                    index,
+                    total_len: 12,
+                };
+                for node in [2, 0, 1] {
+                    c.put_shard(node, *key, meta, tagged(ki, index, node))
+                        .unwrap();
+                }
+            }
+        }
+        let lookup = |key: StripeKey| -> Vec<(u8, Bytes)> {
+            c.gather_shards(key)
+                .into_iter()
+                .map(|s| (s.meta.index, s.data))
+                .collect()
+        };
+        for (ki, key) in sorted.iter().enumerate() {
+            let want: Vec<(u8, Bytes)> = indices(ki)
+                .into_iter()
+                .map(|i| (i, tagged(ki, i, 0)))
+                .collect();
+            assert_eq!(
+                lookup(*key),
+                want,
+                "{key:?}: its own shards, node 0's copies"
+            );
+        }
+        // With node 0 down, node 1's copies win.
+        c.fail_node(0);
+        let want: Vec<(u8, Bytes)> = indices(1)
+            .into_iter()
+            .map(|i| (i, tagged(1, i, 1)))
+            .collect();
+        assert_eq!(lookup(sorted[1]), want);
+        // A key with no shards of its own finds nothing, neighbours or not.
+        assert!(lookup(StripeKey::Chunk(fp(4))).is_empty());
     }
 
     #[test]

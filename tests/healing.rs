@@ -18,6 +18,12 @@
 //!    same cluster without corrupting either generation.
 //! 4. The superseded-generation GC step reclaims old dumps without
 //!    touching chunks the surviving generation still references.
+//! 5. One planner rank plans each step and broadcasts the plan, so a heal
+//!    does the same thing at every pool width and whichever leader plans:
+//!    every rank ends with the same cursor and report.
+//! 6. A rank that dies at a planning step fails the step on every
+//!    survivor with a typed error instead of a hang, and a fresh healer
+//!    resumes from the persisted cursor.
 
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
@@ -26,10 +32,11 @@ use proptest::prelude::*;
 
 use replidedup::apps::SyntheticWorkload;
 use replidedup::core::{
-    HealCursor, HealOptions, HealReport, RedundancyPolicy, Replicator, Strategy,
+    HealCursor, HealOptions, HealReport, HealStage, RedundancyPolicy, ReplError, Replicator,
+    Strategy,
 };
 use replidedup::mpi::wire::Wire;
-use replidedup::mpi::{FaultPlan, FaultTrigger, WorldConfig};
+use replidedup::mpi::{CommError, FaultPlan, FaultTrigger, WorldConfig};
 use replidedup::storage::{Cluster, Placement};
 
 const N: u32 = 6;
@@ -419,4 +426,185 @@ fn heal_gc_step_reclaims_superseded_generations_safely() {
         assert_eq!(restored, expected, "rank {rank}: gen 2 intact after gc");
     }
     assert_eq!(cluster.generations(), vec![2], "only gen 2 remains at rest");
+}
+
+/// Two ranks per node, so every step has non-leaders that contribute
+/// nothing but must still take part in the planner's collectives.
+const PACKED: u32 = 12;
+
+const AUTO: RedundancyPolicy = RedundancyPolicy::Auto {
+    k: 4,
+    m: 2,
+    replicate_below: 1 << 10,
+};
+
+/// Dump generation [`DUMP`] of `bufs` under `config`, asserting success.
+fn dump_all(repl: &Replicator<'_>, config: &WorldConfig, bufs: &[Vec<u8>]) {
+    let out = config
+        .launch(bufs.len() as u32, |comm| {
+            repl.dump(comm, DUMP, &bufs[comm.rank() as usize])
+                .map(|_| ())
+        })
+        .expect_all();
+    assert!(out.results.iter().all(Result::is_ok), "healthy dump");
+}
+
+/// Restore [`DUMP`] under `config` and demand byte-exact buffers.
+fn assert_restores(repl: &Replicator<'_>, config: &WorldConfig, bufs: &[Vec<u8>], what: &str) {
+    let out = config
+        .launch(bufs.len() as u32, |comm| repl.restore(comm, DUMP))
+        .expect_all();
+    for (rank, r) in out.results.iter().enumerate() {
+        let bytes = r
+            .as_ref()
+            .unwrap_or_else(|e| panic!("{what}: rank {rank} restore: {e}"));
+        assert_eq!(
+            bytes, &bufs[rank],
+            "{what}: rank {rank} restored wrong bytes"
+        );
+    }
+}
+
+/// Promise 5: lose node 0, heal to done under `Auto{rs 4+2}`, and the
+/// outcome is one cursor and one report — on every rank, at pool widths
+/// 1, 2 and 4, for all three strategies. With node 0 left dead its
+/// leader cannot plan, so the next live leader does, and the heal still
+/// converges with identical per-rank reports.
+#[test]
+fn heal_outcome_is_independent_of_pool_width_and_planner() {
+    let bufs = buffers(PACKED);
+    for strategy in [Strategy::NoDedup, Strategy::LocalDedup, Strategy::CollDedup] {
+        for revive in [true, false] {
+            let mut outcome: Option<(HealCursor, HealReport)> = None;
+            for workers in [1, 2, 4] {
+                let what = format!("{strategy:?} revive={revive} workers={workers}");
+                let config = WorldConfig::default().with_workers(workers);
+                let cluster = Cluster::new(Placement::pack(PACKED, 2));
+                let repl = replicator(strategy, &cluster, AUTO, small_windows());
+                dump_all(&repl, &config, &bufs);
+                cluster.fail_node(0);
+                if revive {
+                    cluster.revive_node(0); // replacement disk, empty
+                }
+
+                let out = config
+                    .launch(PACKED, |comm| {
+                        let mut cursor = HealCursor::new(DUMP);
+                        repl.heal_from(comm, &mut cursor).map(|r| (cursor, r))
+                    })
+                    .expect_all();
+                let results: Vec<(HealCursor, HealReport)> = out
+                    .results
+                    .into_iter()
+                    .map(|r| r.unwrap_or_else(|e| panic!("{what}: heal failed: {e}")))
+                    .collect();
+                let first = &results[0];
+                assert!(first.0.is_done(), "{what}: {:?}", first.0);
+                assert!(first.1.is_fully_healed(), "{what}: {:?}", first.1);
+                if revive {
+                    assert!(
+                        first.1.heal_bytes() > 0,
+                        "{what}: the lost node's data returns"
+                    );
+                }
+                for (rank, r) in results.iter().enumerate() {
+                    assert_eq!(r, first, "{what}: rank {rank} disagrees with rank 0");
+                }
+                match &outcome {
+                    None => outcome = Some(first.clone()),
+                    Some(o) => assert_eq!(first, o, "{what}: differs from workers=1"),
+                }
+                assert_restores(&repl, &config, &bufs, &what);
+            }
+        }
+    }
+}
+
+/// Promise 6: crash a rank the second time it enters `heal.plan` (the
+/// first chunk window's planning round). Rank 0 is the planner, whose
+/// death leaves every survivor waiting on a broadcast that never comes;
+/// rank 3 leads no node, whose death fails the planner's gather. Either
+/// way every survivor's step fails with a typed rank failure (never a
+/// suspected deadlock), and a fresh healer resumes from the persisted
+/// cursor to a full heal and byte-exact restores.
+#[test]
+fn crash_at_a_planning_step_is_typed_and_resumable() {
+    let bufs = buffers(PACKED);
+    for victim in [0, 3] {
+        let cluster = Cluster::new(Placement::pack(PACKED, 2));
+        let repl = replicator(Strategy::CollDedup, &cluster, AUTO, small_windows());
+        dump_all(&repl, &WorldConfig::default(), &bufs);
+        cluster.fail_node(2);
+        cluster.revive_node(2); // replacement disk, empty
+
+        // Persist the cursor after every completed step, from a rank that
+        // survives. No storage hook: a healer crash leaves disks intact.
+        let persisted = Arc::new(Mutex::new(Vec::new()));
+        let plan =
+            FaultPlan::new(13).crash(victim, FaultTrigger::PhaseStartNth("heal.plan".into(), 2));
+        let config = WorldConfig::default()
+            .with_recv_timeout(Duration::from_secs(2))
+            .with_faults(plan);
+        let store = Arc::clone(&persisted);
+        let out = config.launch(PACKED, move |comm| {
+            let mut cursor = HealCursor::new(DUMP);
+            let mut report = HealReport::default();
+            loop {
+                match repl.heal_step(comm, &mut cursor, &mut report) {
+                    Ok(true) => {
+                        if comm.rank() == PACKED - 1 {
+                            *store.lock().unwrap() = cursor.to_bytes().to_vec();
+                        }
+                    }
+                    Ok(false) => return Ok(cursor),
+                    Err(e) => return Err(e),
+                }
+            }
+        });
+        assert_eq!(out.crashed_ranks(), vec![victim], "the crash must fire");
+        for (rank, o) in out.outcomes.iter().enumerate() {
+            let Some(result) = o.as_completed() else {
+                continue;
+            };
+            assert!(
+                matches!(
+                    result,
+                    Err(ReplError::RankFailure(CommError::RankFailed { rank: r })) if *r == victim
+                ),
+                "victim {victim}: survivor {rank} must fail typed, got {result:?}"
+            );
+        }
+
+        let snapshot = persisted.lock().unwrap().clone();
+        let resumed = HealCursor::from_bytes(&snapshot).expect("persisted cursor decodes");
+        assert_eq!(
+            resumed.stage,
+            HealStage::Chunks,
+            "victim {victim}: the crash lands in the first chunk window"
+        );
+
+        let repl = replicator(Strategy::CollDedup, &cluster, AUTO, small_windows());
+        let out = WorldConfig::default()
+            .launch(PACKED, |comm| {
+                let mut cursor = resumed.clone();
+                repl.heal_from(comm, &mut cursor).map(|r| (cursor, r))
+            })
+            .expect_all();
+        let first = out.results[0].as_ref().expect("resumed heal succeeds");
+        assert!(first.0.is_done());
+        assert!(first.1.is_fully_healed(), "victim {victim}: {:?}", first.1);
+        for (rank, r) in out.results.iter().enumerate() {
+            assert_eq!(
+                r.as_ref().expect("resumed heal succeeds"),
+                first,
+                "victim {victim}: rank {rank} disagrees with rank 0"
+            );
+        }
+        assert_restores(
+            &repl,
+            &WorldConfig::default(),
+            &bufs,
+            &format!("victim {victim}"),
+        );
+    }
 }
