@@ -189,6 +189,16 @@ if [[ $stray -ne 0 ]]; then
   exit 1
 fi
 
+echo "== restore-planner gate (no world allgather in restore) =="
+# Restore plans each step at one planner rank: ranks gather their needs
+# and holder inventories there, and the planner broadcasts the servers.
+# An allgather in restore.rs is O(N^2) holder discovery creeping back
+# (every rank decoding every rank's inventory).
+if grep -nE '\.(try_)?allgather(_group)?\(' crates/core/src/restore.rs; then
+  echo "ci: FAIL — allgather in crates/core/src/restore.rs; plan at the restore planner" >&2
+  exit 1
+fi
+
 echo "== stray-copy gate (hot-path modules) =="
 # The dump/restore/repair hot paths moved to refcounted Chunk payloads;
 # a .to_vec() creeping back in is a silent full-payload copy.

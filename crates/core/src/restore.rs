@@ -3,21 +3,25 @@
 //! The paper's evaluation exercises checkpoint *writing*; restart is left
 //! implicit. A replication library is only useful if the replicas are
 //! reachable again, so this module adds the missing half as a collective
-//! protocol that uses only messages (no shared-memory shortcuts):
+//! protocol that uses only messages (no shared-memory shortcuts). Each
+//! step is planned once, at a fixed planner rank ([`RESTORE_PLANNER`]):
+//! every rank sends its inputs there with a gather, the planner assigns
+//! servers and broadcasts the assignment, and every rank then fetches,
+//! serves and verifies its own data.
 //!
-//! 1. **Manifest recovery** — each rank advertises which manifests its node
-//!    holds (its own plus the ones replicated to it as a partner); ranks
-//!    whose node lost the manifest get it from the lowest-ranked advertiser
-//!    (all ranks compute the identical assignment from the allgather, so no
-//!    negotiation is needed — the same trick the dump uses for offsets).
-//! 2. **Chunk recovery** — each rank lists the manifest chunks missing from
-//!    its local store; holders are discovered with a second allgather over
-//!    the union of requested fingerprints; the lowest-ranked live holder
-//!    serves each chunk. Restored chunks are written back to the local
+//! 1. **Manifest recovery** — each rank sends whether it lost its
+//!    manifest, which manifests its node holds (its own plus the ones
+//!    replicated to it as a partner) and its node's tombstones; the
+//!    planner gives each needy rank the lowest-ranked other advertiser as
+//!    its server.
+//! 2. **Chunk recovery** — each rank sends the manifest chunks missing
+//!    from its local store, and each node leader its node's chunk
+//!    inventory; the planner names, per requested chunk, the lowest rank
+//!    whose node holds it. Restored chunks are written back to the local
 //!    store, so a revived node is re-seeded as a side effect.
 //!
 //! `no-dedup` dumps restore the raw blob through the same
-//! advertise/assign/serve pattern at blob granularity.
+//! gather/assign/broadcast plan as step 1, at blob granularity.
 //!
 //! When the dump ran under an erasure-coding redundancy policy, a payload
 //! whose replicas are all gone gets one last chance: Reed-Solomon
@@ -37,10 +41,11 @@ use replidedup_buf::{global_pool, record_copy, Chunk};
 use replidedup_hash::{Fingerprint, FpHashMap, FpHashSet};
 use replidedup_mpi::wire::{FrameReader, FrameWriter};
 use replidedup_mpi::{Comm, CommError, Tag};
-use replidedup_storage::{DumpId, StorageError, StripeKey};
+use replidedup_storage::{Cluster, DumpId, NodeId, StorageError, StripeKey};
 
 use crate::config::Strategy;
 use crate::dump::DumpContext;
+use crate::repair::leader_of;
 use crate::retry::RetryPolicy;
 
 const TAG_RESTORE_MANIFEST: Tag = 0x5250_0002;
@@ -201,28 +206,143 @@ fn fetch_verified(
     Err(RestoreError::ChunkLost(*fp))
 }
 
-/// Deterministic service assignment shared by all ranks: for each needy
-/// rank, the lowest-ranked advertiser serves. Returns `served[s]` = list of
-/// needy ranks rank `s` must serve, and `server_of[r]` = server of rank `r`
-/// (`None` when no one can).
-fn assign_servers(
-    world: u32,
-    needs: &[bool],
-    holders: &[Vec<u32>],
-) -> (Vec<Vec<u32>>, Vec<Option<u32>>) {
-    let mut served = vec![Vec::new(); world as usize];
-    let mut server_of = vec![None; world as usize];
-    for r in 0..world {
-        if !needs[r as usize] {
-            continue;
-        }
-        let server = (0..world).find(|&s| s != r && holders[s as usize].binary_search(&r).is_ok());
-        if let Some(s) = server {
-            served[s as usize].push(r);
-            server_of[r as usize] = Some(s);
+/// The rank that plans every restore step. Fixed rather than
+/// [`crate::repair::planner_rank`]: restore planning reads no storage at
+/// the planner, so a node dying mid-step cannot split the choice.
+const RESTORE_PLANNER: u32 = 0;
+
+/// Replica service assignment, computed once at the planner: for each
+/// needy rank, the lowest-ranked advertiser other than itself serves.
+/// `holders[s]` lists (sorted) the owners whose replica rank `s` can read
+/// from its node; returns `server_of[r]` = server of rank `r` (`None` when
+/// no one can).
+fn assign_servers(world: u32, needs: &[bool], holders: &[Vec<u32>]) -> Vec<Option<u32>> {
+    (0..world)
+        .map(|r| {
+            if !needs[r as usize] {
+                return None;
+            }
+            (0..world).find(|&s| s != r && holders[s as usize].binary_search(&r).is_ok())
+        })
+        .collect()
+}
+
+/// Chunk service assignment, computed once at the planner. `node_of[r]`
+/// is rank `r`'s node, `held[nd]` node `nd`'s sorted chunk inventory
+/// (empty for a dead node) and `missing[r]` the chunks rank `r` requests.
+/// Returns, aligned with `missing`, the lowest rank whose node holds each
+/// chunk, or `None` when no node does.
+fn assign_chunk_servers(
+    node_of: &[NodeId],
+    held: &[Vec<Fingerprint>],
+    missing: &[Vec<Fingerprint>],
+) -> Vec<Vec<Option<u32>>> {
+    // The lowest rank on a node (its leader) is the first of that node's
+    // ranks a rank-order scan reaches, so only leaders need checking.
+    let mut seen = vec![false; held.len()];
+    let mut leaders: Vec<(u32, &[Fingerprint])> = Vec::new();
+    for (r, &nd) in (0u32..).zip(node_of) {
+        let nd = nd as usize;
+        if nd < held.len() && !seen[nd] {
+            seen[nd] = true;
+            leaders.push((r, &held[nd]));
         }
     }
-    (served, server_of)
+    missing
+        .iter()
+        .map(|fps| {
+            fps.iter()
+                .map(|fp| {
+                    leaders
+                        .iter()
+                        .find(|(_, inv)| inv.binary_search(fp).is_ok())
+                        .map(|&(s, _)| s)
+                })
+                .collect()
+        })
+        .collect()
+}
+
+/// Plan one replica service step (manifests or blobs) at the planner.
+/// Each rank sends whether it needs its replica, the owners whose
+/// replicas its node holds and the ranks its node tombstoned for the
+/// dump; every rank gets back `(server, absent)` per rank, where
+/// `absent` says some node tombstoned that rank.
+fn plan_replica_service(
+    comm: &mut Comm,
+    need: bool,
+    owners: Vec<u32>,
+    tombstoned: Vec<u32>,
+) -> Result<Vec<(Option<u32>, bool)>, CommError> {
+    let n = comm.size();
+    let plan = comm
+        .try_gather(RESTORE_PLANNER, (need, owners, tombstoned))?
+        .map(|info| {
+            let needs: Vec<bool> = info.iter().map(|(need, _, _)| *need).collect();
+            let mut absent = vec![false; n as usize];
+            for r in info.iter().flat_map(|(_, _, a)| a) {
+                if let Some(slot) = absent.get_mut(*r as usize) {
+                    *slot = true;
+                }
+            }
+            let holders: Vec<Vec<u32>> = info.into_iter().map(|(_, h, _)| h).collect();
+            assign_servers(n, &needs, &holders)
+                .into_iter()
+                .zip(absent)
+                .collect()
+        });
+    comm.try_bcast(RESTORE_PLANNER, plan)
+}
+
+/// Ranks that `me` serves under a replica service plan, ascending.
+fn served_by(plan: &[(Option<u32>, bool)], me: u32) -> impl Iterator<Item = u32> + '_ {
+    (0u32..)
+        .zip(plan)
+        .filter(move |(_, (server, _))| *server == Some(me))
+        .map(|(r, _)| r)
+}
+
+/// Every rank's chunk requests, each with the rank that serves it (`None`
+/// when no live node holds the chunk).
+type ChunkPlan = Vec<Vec<(Fingerprint, Option<u32>)>>;
+
+/// Plan the chunk step at the planner. Each rank sends its sorted
+/// missing chunks and, if it leads its node, the node's sorted chunk
+/// inventory (a dead node's is empty); every rank gets back each rank's
+/// requests with their servers aligned to them.
+fn plan_chunk_service(
+    comm: &mut Comm,
+    cluster: &Cluster,
+    missing: Vec<Fingerprint>,
+) -> Result<ChunkPlan, CommError> {
+    let me = comm.rank();
+    let n = comm.size();
+    let node = cluster.node_of(me);
+    let inventory = if leader_of(cluster, node, n) == Some(me) {
+        cluster.chunk_fps(node).unwrap_or_default()
+    } else {
+        Vec::new()
+    };
+    let plan = comm
+        .try_gather(RESTORE_PLANNER, (missing, inventory))?
+        .map(|all| {
+            let node_of: Vec<NodeId> = (0..n).map(|r| cluster.node_of(r)).collect();
+            let mut held = vec![Vec::new(); cluster.node_count() as usize];
+            let mut missing = Vec::with_capacity(all.len());
+            for (r, (wanted, inv)) in (0u32..).zip(all) {
+                if leader_of(cluster, node_of[r as usize], n) == Some(r) {
+                    held[node_of[r as usize] as usize] = inv;
+                }
+                missing.push(wanted);
+            }
+            let servers = assign_chunk_servers(&node_of, &held, &missing);
+            missing
+                .into_iter()
+                .zip(servers)
+                .map(|(fps, s)| fps.into_iter().zip(s).collect())
+                .collect()
+        });
+    comm.try_bcast(RESTORE_PLANNER, plan)
 }
 
 fn restore_blob(
@@ -231,7 +351,6 @@ fn restore_blob(
     policy: &RetryPolicy,
 ) -> Result<Chunk, RestoreError> {
     let me = comm.rank();
-    let n = comm.size();
     let node = ctx.cluster.node_of(me);
     comm.tracer().enter("blob_recovery");
     let local = fetch_with_retry(comm, policy, || ctx.cluster.get_blob(node, me, ctx.dump_id)).ok();
@@ -243,12 +362,9 @@ fn restore_blob(
         .cluster
         .absent_ranks(node, ctx.dump_id)
         .unwrap_or_default();
-    let info = comm.try_allgather((local.is_none(), advertised, tombstoned))?;
-    let needs: Vec<bool> = info.iter().map(|(need, _, _)| *need).collect();
-    let absent = info.iter().any(|(_, _, a)| a.binary_search(&me).is_ok());
-    let holders: Vec<Vec<u32>> = info.into_iter().map(|(_, h, _)| h).collect();
-    let (served, server_of) = assign_servers(n, &needs, &holders);
-    for &r in &served[me as usize] {
+    let plan = plan_replica_service(comm, local.is_none(), advertised, tombstoned)?;
+    let (server, absent) = plan[me as usize];
+    for r in served_by(&plan, me) {
         // The served blob travels as the stored allocation itself — no
         // length-prefixed re-encode, no copy.
         let blob = fetch_with_retry(comm, policy, || ctx.cluster.get_blob(node, r, ctx.dump_id))?;
@@ -256,7 +372,7 @@ fn restore_blob(
     }
     let result = match local {
         Some(b) => Ok(Chunk::from(b)),
-        None => match server_of[me as usize] {
+        None => match server {
             Some(s) => {
                 let data = comm.try_recv_chunk(s, TAG_RESTORE_BLOB)?;
                 // Re-seed the local device so this node serves next time
@@ -301,7 +417,6 @@ fn restore_chunks(
     policy: &RetryPolicy,
 ) -> Result<Chunk, RestoreError> {
     let me = comm.rank();
-    let n = comm.size();
     let node = ctx.cluster.node_of(me);
 
     // ---- Step 1: manifest recovery --------------------------------------
@@ -318,19 +433,16 @@ fn restore_chunks(
         .cluster
         .absent_ranks(node, ctx.dump_id)
         .unwrap_or_default();
-    let info = comm.try_allgather((manifest.is_none(), advertised, tombstoned))?;
-    let needs: Vec<bool> = info.iter().map(|(need, _, _)| *need).collect();
-    let absent = info.iter().any(|(_, _, a)| a.binary_search(&me).is_ok());
-    let holders: Vec<Vec<u32>> = info.into_iter().map(|(_, h, _)| h).collect();
-    let (served, server_of) = assign_servers(n, &needs, &holders);
-    for &r in &served[me as usize] {
+    let plan = plan_replica_service(comm, manifest.is_none(), advertised, tombstoned)?;
+    let (server, absent) = plan[me as usize];
+    for r in served_by(&plan, me) {
         let m = fetch_with_retry(comm, policy, || {
             ctx.cluster.get_manifest(node, r, ctx.dump_id)
         })?;
         comm.try_send_val(r, TAG_RESTORE_MANIFEST, &m)?;
     }
     if manifest.is_none() {
-        if let Some(s) = server_of[me as usize] {
+        if let Some(s) = server {
             let m: replidedup_storage::Manifest = comm.try_recv_val(s, TAG_RESTORE_MANIFEST)?;
             ctx.cluster.put_manifest(node, m.clone()).ok();
             manifest = Some(m);
@@ -352,53 +464,34 @@ fn restore_chunks(
         }
         missing.sort_unstable();
     }
-    let all_missing: Vec<Vec<Fingerprint>> = comm.try_allgather(missing.clone())?;
-
-    // Union of every requested fingerprint, sorted for stable indexing.
-    let mut union: Vec<Fingerprint> = all_missing.iter().flatten().copied().collect();
-    union.sort_unstable();
-    union.dedup();
-
-    // Who holds what: one bit per union entry, allgathered.
-    let my_have: Vec<bool> = union
-        .iter()
-        .map(|fp| ctx.cluster.has_chunk(node, fp))
-        .collect();
-    let all_have: Vec<Vec<bool>> = comm.try_allgather(my_have)?;
-
-    let index_of = |fp: &Fingerprint| union.binary_search(fp).expect("fp from union");
-    let server_of_fp = |fp: &Fingerprint| -> Option<u32> {
-        let i = index_of(fp);
-        (0..n).find(|&s| all_have[s as usize][i])
-    };
+    let requests = plan_chunk_service(comm, ctx.cluster, missing)?;
 
     // Serve: group my outgoing chunks per requester into one scatter-gather
     // frame — fingerprints in the header segments, chunk bodies attached as
     // zero-copy slices of the store's own allocations.
-    for (r, wanted) in all_missing.iter().enumerate() {
-        if r as u32 == me || wanted.is_empty() {
+    for (r, wanted) in (0u32..).zip(&requests) {
+        if r == me {
             continue;
         }
         let mut batch = FrameWriter::new();
         let mut batched = 0usize;
-        for fp in wanted {
-            if server_of_fp(fp) == Some(me) {
-                let data = fetch_with_retry(comm, policy, || ctx.cluster.get_chunk(node, fp))?;
-                batch.put(fp);
-                batch.attach(data);
-                batched += 1;
-            }
+        for (fp, _) in wanted.iter().filter(|(_, s)| *s == Some(me)) {
+            let data = fetch_with_retry(comm, policy, || ctx.cluster.get_chunk(node, fp))?;
+            batch.put(fp);
+            batch.attach(data);
+            batched += 1;
         }
         if batched > 0 {
-            comm.try_send_frame(r as u32, TAG_RESTORE_CHUNKS, batch.finish())?;
+            comm.try_send_frame(r, TAG_RESTORE_CHUNKS, batch.finish())?;
         }
     }
 
     // Receive: I know exactly which servers owe me a batch.
+    let mine = &requests[me as usize];
     let mut lost: Option<Fingerprint> = None;
     let mut expected_servers: Vec<u32> = Vec::new();
-    for fp in &missing {
-        match server_of_fp(fp) {
+    for (fp, server) in mine {
+        match *server {
             Some(s) if s != me => expected_servers.push(s),
             Some(_) => {} // cannot happen: missing means I do not have it
             None => {
@@ -438,8 +531,7 @@ fn restore_chunks(
     }
 
     comm.tracer().exit("chunk_recovery");
-    comm.tracer()
-        .counter("chunks_recovered", missing.len() as u64);
+    comm.tracer().counter("chunks_recovered", mine.len() as u64);
 
     // ---- Step 3: reassemble ----------------------------------------------
     comm.tracer().enter("reassemble");
@@ -755,21 +847,104 @@ mod tests {
             vec![2],    // rank 2 holds 2 (itself, needy)
             vec![2, 3], // rank 3 holds 2
         ];
-        let (served, server_of) = assign_servers(4, &needs, &holders);
+        let server_of = assign_servers(4, &needs, &holders);
         assert_eq!(server_of[0], Some(1), "lowest non-self holder of 0");
         assert_eq!(server_of[2], Some(0));
-        assert_eq!(served[1], vec![0]);
-        assert_eq!(served[0], vec![2]);
-        assert!(served[2].is_empty() && served[3].is_empty());
+        assert_eq!(server_of[1], None, "rank 1 needs nothing");
+        assert_eq!(server_of[3], None, "rank 3 needs nothing");
     }
 
     #[test]
     fn assign_servers_reports_unservable() {
         let needs = vec![true, false];
         let holders = vec![vec![], vec![]];
-        let (served, server_of) = assign_servers(2, &needs, &holders);
-        assert_eq!(server_of[0], None);
-        assert!(served.iter().all(Vec::is_empty));
+        let server_of = assign_servers(2, &needs, &holders);
+        assert_eq!(server_of, vec![None, None]);
+    }
+
+    /// The chunk-server choice the planner replaced: ask every rank
+    /// whether its node holds the chunk and take the lowest that does.
+    fn lowest_holder_by_scan(
+        node_of: &[NodeId],
+        held: &[Vec<Fingerprint>],
+        fp: &Fingerprint,
+    ) -> Option<u32> {
+        (0u32..)
+            .zip(node_of)
+            .find(|(_, &nd)| held[nd as usize].binary_search(fp).is_ok())
+            .map(|(s, _)| s)
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn assign_chunk_servers_matches_the_lowest_holder_scan(
+            nodes in 1u32..8,
+            max_per_node in 1u32..5,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let mut state = seed | 1;
+            let mut rand = move |below: u64| {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state % below
+            };
+            // A small fingerprint universe so inventories and requests
+            // overlap often, plus chunks no node holds.
+            let universe: Vec<Fingerprint> =
+                (0u8..24).map(|b| Fingerprint::synthetic(u64::from(b))).collect();
+            // Ranks in node-major order, each node hosting 0..=max ranks
+            // (a node without ranks can hold chunks but never serve).
+            let mut node_of = Vec::new();
+            for nd in 0..nodes {
+                for _ in 0..rand(u64::from(max_per_node) + 1) {
+                    node_of.push(nd);
+                }
+            }
+            // Some nodes are dead: their leader reports nothing.
+            let held: Vec<Vec<Fingerprint>> = (0..nodes)
+                .map(|_| {
+                    if rand(4) == 0 {
+                        return Vec::new();
+                    }
+                    let mut inv: Vec<Fingerprint> =
+                        universe.iter().filter(|_| rand(3) == 0).copied().collect();
+                    inv.sort_unstable();
+                    inv
+                })
+                .collect();
+            let missing: Vec<Vec<Fingerprint>> = node_of
+                .iter()
+                .map(|_| {
+                    let mut fps: Vec<Fingerprint> =
+                        universe.iter().filter(|_| rand(4) == 0).copied().collect();
+                    fps.sort_unstable();
+                    fps
+                })
+                .collect();
+            let servers = assign_chunk_servers(&node_of, &held, &missing);
+            proptest::prop_assert_eq!(servers.len(), missing.len());
+            for (wanted, got) in missing.iter().zip(&servers) {
+                proptest::prop_assert_eq!(wanted.len(), got.len());
+                for (fp, server) in wanted.iter().zip(got) {
+                    proptest::prop_assert_eq!(*server, lowest_holder_by_scan(&node_of, &held, fp));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn assign_chunk_servers_prefers_the_lowest_leader_and_skips_dead_nodes() {
+        let fp = |b: u8| Fingerprint::synthetic(u64::from(b));
+        // Ranks 0-1 on node 0 (dead), 2-3 on node 1, 4 on node 2.
+        let node_of = [0, 0, 1, 1, 2];
+        let held = vec![vec![], vec![fp(1), fp(2)], vec![fp(2), fp(3)]];
+        let missing = vec![vec![fp(1), fp(2), fp(3), fp(4)], vec![], vec![fp(3)]];
+        let servers = assign_chunk_servers(&node_of, &held, &missing);
+        assert_eq!(
+            servers,
+            vec![vec![Some(2), Some(2), Some(4), None], vec![], vec![Some(4)]]
+        );
     }
 
     #[test]

@@ -14,6 +14,10 @@
 //! 4. A rank that stops participating surfaces as
 //!    `CommError::DeadlockSuspected` with rank/tag context through
 //!    `ReplError::source()`, bounded by the injected receive timeout.
+//! 5. A restore's outcome (bytes or typed loss) does not depend on how
+//!    ranks are scheduled onto workers.
+//! 6. A crash at a restore planning step fails every survivor typed and
+//!    promptly, and a fresh world then restores byte-exactly.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -21,7 +25,9 @@ use std::time::{Duration, Instant};
 use proptest::prelude::*;
 
 use replidedup::apps::SyntheticWorkload;
-use replidedup::core::{ReplError, Replicator, RestoreError, Strategy, DUMP_PHASES};
+use replidedup::core::{
+    RedundancyPolicy, ReplError, Replicator, RestoreError, Strategy, DUMP_PHASES,
+};
 use replidedup::mpi::{CommError, FaultPlan, FaultTrigger, RankOutcome, WorldConfig};
 use replidedup::storage::{Cluster, Placement};
 
@@ -279,4 +285,159 @@ fn nonparticipating_rank_surfaces_as_deadlock_suspected_with_context() {
         "deadlock detection took {:?} — injected timeout not honored",
         t0.elapsed()
     );
+}
+
+/// Promise 5: restore outcomes are independent of the schedule. 24 ranks,
+/// 3 per node, under `Auto{rs 4+2}`; nodes 1 and 3 die and stay dead, so
+/// some ranks get typed loss (`BlobLost` under no-dedup, `ManifestLost`
+/// or `ChunkLost` under the dedup strategies) and the rest restore. Every
+/// rank's result — its bytes or its error — is identical unpooled and on
+/// pools of 1, 2 and 4 workers.
+#[test]
+fn restore_outcome_is_independent_of_the_schedule() {
+    const RANKS: u32 = 24;
+    let bufs = buffers(RANKS);
+    let schedules = [
+        ("unpooled", WorldConfig::default()),
+        ("workers=1", WorldConfig::default().with_workers(1)),
+        ("workers=2", WorldConfig::default().with_workers(2)),
+        ("workers=4", WorldConfig::default().with_workers(4)),
+    ];
+    for strategy in [Strategy::NoDedup, Strategy::LocalDedup, Strategy::CollDedup] {
+        let mut reference: Option<Vec<Result<Vec<u8>, ReplError>>> = None;
+        for (what, config) in &schedules {
+            let cluster = Cluster::new(Placement::pack(RANKS, 3));
+            let repl = Replicator::builder(strategy)
+                .cluster(&cluster)
+                .replication(3)
+                .chunk_size(64)
+                .with_policy(RedundancyPolicy::Auto {
+                    k: 4,
+                    m: 2,
+                    replicate_below: 1 << 10,
+                })
+                .build()
+                .expect("valid config");
+            let dumped = config
+                .clone()
+                .launch(RANKS, |comm| {
+                    repl.dump(comm, 1, &bufs[comm.rank() as usize])
+                })
+                .expect_all();
+            for (rank, r) in dumped.results.iter().enumerate() {
+                assert!(r.is_ok(), "{strategy:?} {what}: rank {rank} dump: {r:?}");
+            }
+            cluster.fail_node(1);
+            cluster.fail_node(3);
+            let results = config
+                .clone()
+                .launch(RANKS, |comm| repl.restore(comm, 1).map(Vec::from))
+                .expect_all()
+                .results;
+            for (rank, r) in results.iter().enumerate() {
+                match r {
+                    Ok(bytes) => assert_eq!(
+                        bytes, &bufs[rank],
+                        "{strategy:?} {what}: rank {rank} restored wrong bytes"
+                    ),
+                    Err(e) => assert!(
+                        matches!(
+                            e,
+                            ReplError::Restore(
+                                RestoreError::BlobLost { .. }
+                                    | RestoreError::ManifestLost { .. }
+                                    | RestoreError::ChunkLost(_)
+                            )
+                        ),
+                        "{strategy:?} {what}: rank {rank} must fail typed, got {e}"
+                    ),
+                }
+            }
+            let lost = results.iter().filter(|r| r.is_err()).count();
+            assert!(
+                lost > 0 && lost < RANKS as usize,
+                "{strategy:?} {what}: {lost} of {RANKS} ranks lost data; want some, not all"
+            );
+            match &reference {
+                None => reference = Some(results),
+                Some(first) => assert_eq!(
+                    &results, first,
+                    "{strategy:?}: {what} differs from unpooled"
+                ),
+            }
+        }
+    }
+}
+
+/// Promise 6: a crash at a restore planning step. Restore plans each step
+/// at rank 0: every rank gathers its inputs there and waits for the
+/// broadcast plan. Crash a rank as it enters the manifest step's gather
+/// (`coll_gather` #1) or the chunk step's (#2) — once rank 3, whose death
+/// fails the planner's gather, and once rank 0, the planner, whose death
+/// leaves everyone waiting on a broadcast that never comes. Every
+/// survivor's restore fails with a typed rank failure
+/// (`RestoreError::Comm`, surfaced as `ReplError::RankFailure`) before the
+/// receive timeout, and a fresh world on the same cluster restores
+/// byte-exactly.
+#[test]
+fn crash_at_a_restore_planning_step_is_typed_and_recoverable() {
+    const RANKS: u32 = 8;
+    let timeout = Duration::from_secs(2);
+    let bufs = buffers(RANKS);
+    for victim in [3, 0] {
+        for nth in [1, 2] {
+            let what = format!("victim {victim} at coll_gather #{nth}");
+            let cluster = Cluster::new(Placement::pack(RANKS, 2));
+            let repl = replicator(Strategy::CollDedup, &cluster, 3);
+            WorldConfig::default()
+                .launch(RANKS, |comm| {
+                    repl.dump(comm, 1, &bufs[comm.rank() as usize])
+                })
+                .expect_all()
+                .results
+                .into_iter()
+                .for_each(|r| assert!(r.is_ok(), "{what}: dump: {r:?}"));
+
+            // No storage hook: a crashed restore leaves the disks intact.
+            let plan = FaultPlan::new(14).crash(
+                victim,
+                FaultTrigger::PhaseStartNth("coll_gather".into(), nth),
+            );
+            let config = WorldConfig::default()
+                .with_recv_timeout(timeout)
+                .with_faults(plan);
+            let t0 = Instant::now();
+            let out = config.launch(RANKS, |comm| repl.restore(comm, 1).map(Vec::from));
+            let took = t0.elapsed();
+            assert_eq!(out.crashed_ranks(), vec![victim], "{what}: the crash fires");
+            for (rank, o) in out.outcomes.iter().enumerate() {
+                let Some(result) = o.as_completed() else {
+                    continue;
+                };
+                assert!(
+                    matches!(
+                        result,
+                        Err(ReplError::RankFailure(CommError::RankFailed { rank: r })) if *r == victim
+                    ),
+                    "{what}: survivor {rank} must fail typed, got {result:?}"
+                );
+            }
+            assert!(
+                took < timeout,
+                "{what}: restore took {took:?}, past the receive timeout"
+            );
+
+            let restored = WorldConfig::default()
+                .launch(RANKS, |comm| repl.restore(comm, 1).map(Vec::from))
+                .expect_all()
+                .results;
+            for (rank, r) in restored.iter().enumerate() {
+                assert_eq!(
+                    r.as_ref().expect("fresh world restores"),
+                    &bufs[rank],
+                    "{what}: rank {rank} restored wrong bytes"
+                );
+            }
+        }
+    }
 }
