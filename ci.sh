@@ -33,61 +33,37 @@ cargo clippy --all-targets -- -D warnings
 echo "== cargo build --release =="
 cargo build --release
 
-echo "== cargo test =="
+echo "== cargo test (umbrella crate: unit, doc and root integration suites) =="
+# Tier 1. This one step runs every root integration suite exactly once
+# (the workspace step below excludes the umbrella crate):
+# - faults (seeded chaos suite): the vendored proptest derives every case
+#   from a fixed seed, so this fault-injection run is reproducible
+#   bit-for-bit across CI machines.
+# - repair (self-healing suite): scrub + repair + retrying-restore
+#   invariants, also fixed-seed: node failures, corruption injection, and
+#   transient hiccups all heal back to K copies with byte-exact restores.
+# - zerocopy (zero-copy guarantees): pointer-equality across wire
+#   round-trips, byte-exact dump/restore for every strategy x K x copy
+#   mode.
+# - chunking (chunking engine): tiling/bounds/determinism/shift-resilience
+#   properties for every chunker, golden cut-point fixtures (frozen on-disk
+#   format), and the end-to-end CDC-beats-fixed dedup claim.
+# - ec (erasure-coding chaos suite): Rs(4+2) on 6 nodes: every 2-of-6
+#   node-loss pattern restores byte-exact through reconstruction alone,
+#   repair rebuilds shards idempotently, >m losses degrade to typed
+#   errors, and the dedup credit cuts parity.
+# - healing (continuous-healing suite): incremental resumable heal: kill a
+#   healer mid-repair and resume from its persisted cursor, heal while a
+#   concurrent dump runs, crash a dump mid-commit and heal the wreckage,
+#   and converge from arbitrary proptest-generated cursors — all to the
+#   same fully healed state.
+# - sessions (scale-out runtime suite): pooled-scheduler equivalence (64
+#   ranks on 4 workers == thread-per-rank, bytes and trace spans) and
+#   concurrent labeled sessions: a crash in one session never poisons
+#   another's byte-exact restore.
+# - end_to_end, paper_claims, properties, trace: the paper's claims and
+#   the dump/restore/trace invariants.
 cargo test -q
-
-echo "== cargo test --test faults (seeded chaos suite) =="
-# The vendored proptest derives every case from a fixed seed, so this
-# fault-injection run is reproducible bit-for-bit across CI machines.
-cargo test --test faults
-
-echo "== cargo test --test repair (self-healing suite) =="
-# Scrub + repair + retrying-restore invariants, also fixed-seed: node
-# failures, corruption injection, and transient hiccups all heal back to
-# K copies with byte-exact restores.
-cargo test --test repair
-
-echo "== cargo test --test zerocopy (zero-copy guarantees) =="
-# Pointer-equality across wire round-trips, byte-exact dump/restore for
-# every strategy x K x copy mode.
-cargo test --test zerocopy
-
-echo "== cargo test --test chunking (chunking engine) =="
-# Tiling/bounds/determinism/shift-resilience properties for every
-# chunker, golden cut-point fixtures (frozen on-disk format), and the
-# end-to-end CDC-beats-fixed dedup claim.
-cargo test --test chunking
-
-echo "== cargo test --test ec (erasure-coding chaos suite) =="
-# Rs(4+2) on 6 nodes: every 2-of-6 node-loss pattern restores byte-exact
-# through reconstruction alone, repair rebuilds shards idempotently,
-# >m losses degrade to typed errors, and the dedup credit cuts parity.
-cargo test --test ec
-
-echo "== cargo test -p replidedup-ec (GF/RS property suite) =="
-# GF(2^8) field axioms (proptest), systematic-encode identity, and
-# decode round-trips across every loss pattern of at most m shards.
-cargo test -p replidedup-ec -q
-
-echo "== cargo test -p replidedup-hash (SHA-1 kernels) =="
-# RFC 3174 / FIPS 180 vectors (million-a included) pin both SHA-1
-# compressors, the portable one and the CPU-dispatched SHA-NI one, and a
-# differential proptest checks them against each other over random
-# lengths and streaming split points.
-cargo test -p replidedup-hash -q
-
-echo "== cargo test --test healing (continuous-healing suite) =="
-# Incremental resumable heal: kill a healer mid-repair and resume from
-# its persisted cursor, heal while a concurrent dump runs, crash a dump
-# mid-commit and heal the wreckage, and converge from arbitrary
-# proptest-generated cursors — all to the same fully healed state.
-cargo test --test healing
-
-echo "== cargo test --test sessions (scale-out runtime suite) =="
-# Pooled-scheduler equivalence (64 ranks on 4 workers == thread-per-rank,
-# bytes and trace spans) and concurrent labeled sessions: a crash in one
-# session never poisons another's byte-exact restore.
-cargo test --test sessions
 
 echo "== dead-code gate (self-healing + zero-copy modules) =="
 # These modules must be fully wired into the public API — a stray
@@ -284,7 +260,18 @@ if grep -q '"sim_within_band": false' target/bench-smoke.json; then
   exit 1
 fi
 
-echo "== cargo test --workspace =="
-cargo test --workspace -q
+echo "== cargo test --workspace (member crates) =="
+# Every member crate's tests, once each; the umbrella crate ran above.
+# Among them:
+# - replidedup-ec (GF/RS property suite): GF(2^8) field axioms
+#   (proptest), systematic-encode identity, and decode round-trips across
+#   every loss pattern of at most m shards.
+# - replidedup-hash (SHA-1 kernels): RFC 3174 / FIPS 180 vectors
+#   (million-a included) pin both SHA-1 compressors, the portable one and
+#   the CPU-dispatched SHA-NI one, and a differential proptest checks them
+#   against each other over random lengths and streaming split points.
+# - replidedup-mpi: exact message counts of every collective, the
+#   allreduce operand bracket, and crashes at every tree position.
+cargo test --workspace --exclude replidedup -q
 
 echo "ci: all green"

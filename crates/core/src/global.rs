@@ -18,9 +18,12 @@
 //!
 //! Entries are kept sorted by fingerprint so the merge is a linear
 //! merge-join and the post-broadcast lookup is a binary search. The
-//! reduction runs as the runtime's `allreduce`, whose recursive-doubling
-//! schedule combines *disjoint* rank blocks at every step — which is what
-//! makes frequency addition exact and designated-rank lists duplicate-free.
+//! reduction runs as the runtime's `allreduce`: a binomial tree reduce to
+//! rank 0 whose every merge joins two *disjoint*, adjacent rank blocks —
+//! which is what makes frequency addition exact and designated-rank lists
+//! duplicate-free — followed by a broadcast of the final view. The tree
+//! presents operands in the same bracket as a recursive-doubling
+//! allreduce, so the view is the same one, and N ranks run N−1 merges.
 
 use replidedup_hash::Fingerprint;
 use replidedup_mpi::wire::{Wire, WireError, WireResult};
@@ -99,7 +102,7 @@ impl GlobalView {
     /// truncation.
     ///
     /// The two inputs must come from disjoint rank blocks (guaranteed by
-    /// the allreduce schedule), so frequencies add and rank lists union
+    /// the allreduce's tree), so frequencies add and rank lists union
     /// without double counting.
     pub fn merge(a: GlobalView, b: GlobalView, k: u32, f_threshold: usize) -> GlobalView {
         debug_assert!(k >= 1);
@@ -445,6 +448,58 @@ mod tests {
         }
         for &r in &view.lookup(&fp(43)).unwrap().ranks {
             assert_eq!(r % 2, 1, "designated rank {r} does not hold chunk 43");
+        }
+    }
+
+    /// The operand bracket of a recursive-doubling allreduce over `leaves`
+    /// (ranks ≥ p2 fold into rank − p2, then each doubling round combines
+    /// partners lower rank first), evaluated sequentially.
+    fn doubling_bracket<T: Clone>(leaves: &[T], op: impl Fn(T, T) -> T) -> T {
+        let p2 = 1 << leaves.len().ilog2();
+        let mut acc = leaves[..p2].to_vec();
+        for (i, upper) in leaves[p2..].iter().enumerate() {
+            acc[i] = op(acc[i].clone(), upper.clone());
+        }
+        let mut dist = 1;
+        while dist < p2 {
+            acc = (0..p2)
+                .map(|i| {
+                    let (lo, hi) = (i.min(i ^ dist), i.max(i ^ dist));
+                    op(acc[lo].clone(), acc[hi].clone())
+                })
+                .collect();
+            dist <<= 1;
+        }
+        acc.swap_remove(0)
+    }
+
+    #[test]
+    fn reduction_at_96_ranks_equals_the_sequential_doubling_bracket() {
+        // Overlapping holdings under a small K and F: top-F selection and
+        // load-balanced truncation make HMERGE order-sensitive, so only
+        // the exact bracket reproduces the view.
+        let (n, k, f) = (96u32, 2, 48);
+        let leaves: Vec<GlobalView> = (0..n)
+            .map(|r| {
+                let ids = (0..24u64).map(|i| fp((u64::from(r) * 7 + i * 13) % 211));
+                GlobalView::from_local(r, ids, f)
+            })
+            .collect();
+        let merge = |a, b| GlobalView::merge(a, b, k, f);
+        let expect = doubling_bracket(&leaves, merge);
+        let left_fold = leaves.iter().cloned().reduce(merge).unwrap();
+        assert_ne!(expect, left_fold, "the test views must be order-sensitive");
+        for workers in [1, 2, 4] {
+            let out = WorldConfig::default()
+                .with_workers(workers)
+                .launch(n, |comm| {
+                    let local = leaves[comm.rank() as usize].clone();
+                    reduce_global_view(comm, local, k, f)
+                })
+                .expect_all();
+            for (rank, view) in out.results.iter().enumerate() {
+                assert_eq!(view, &expect, "{workers} workers, rank {rank}");
+            }
         }
     }
 }

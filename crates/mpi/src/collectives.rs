@@ -4,16 +4,32 @@
 //! merge operator (the fingerprint reduction, "efficient — logarithmic in
 //! the number of processes"), an `ALLGATHER` (load dissemination for the
 //! rank shuffle), and an implicit barrier/fence around the RMA exchange.
-//! These are implemented with the textbook algorithms an MPI library would
-//! pick at these message sizes:
 //!
-//! * barrier — dissemination (⌈log₂ N⌉ rounds),
-//! * broadcast — binomial tree,
-//! * reduce/allreduce — recursive doubling with pre/post folding for
-//!   non-power-of-two worlds,
-//! * gather — flat tree (root-bound by construction),
-//! * allgather — ring (exact N-1 steps, bandwidth-optimal),
+//! Every collective here sends O(N) messages, with one algorithm each:
+//!
+//! * barrier — binomial fan-in to position 0, then binomial fan-out:
+//!   2(N−1) messages;
+//! * broadcast — binomial tree from the root: N−1;
+//! * reduce/allreduce — ranks ≥ p2 (the largest power of two ≤ N) fold
+//!   into rank − p2, then a binomial fan-in to rank 0 combines aligned
+//!   rank blocks lower block first (exactly the bracket recursive doubling
+//!   evaluates, so order-sensitive operators give the same result), then
+//!   allreduce broadcasts the encoded result down a binomial tree:
+//!   N−1 merges and N−1 messages for reduce, 2(N−1) for allreduce;
+//! * gather — flat, root-bound by construction: N−1;
+//! * allgather — gather at position 0, then a binomial broadcast of one
+//!   length-prefixed concatenation that every rank slices without copying:
+//!   2(N−1);
 //! * alltoallv — direct pairwise exchange.
+//!
+//! Why message count and not depth: ranks run on a bounded worker pool
+//! (`crate::sched`), and a receive that has to wait parks its rank and
+//! unparks it again when the message lands. That round trip through the
+//! pool, not link latency, is the cost of a message here, so the total
+//! count decides a collective's cost. The latency-optimal
+//! algorithms an MPI library picks for real links — dissemination barrier,
+//! recursive doubling, ring or Bruck allgather — send N·⌈log₂ N⌉ or
+//! N(N−1) messages and lose on the pool.
 //!
 //! All internal messages are tagged under the reserved tag space and
 //! namespaced by the per-rank collective sequence number, so a collective
@@ -33,7 +49,30 @@ use bytes::Bytes;
 use crate::comm::{Comm, Rank};
 use crate::fault::CommError;
 use crate::stats::Transport;
-use crate::wire::Wire;
+use crate::wire::{Chunk, Frame, FrameReader, Wire, WireResult};
+
+/// Tag rounds inside one collective: each phase gets its own, so no two
+/// messages of one operation share a `(source, tag)` pair.
+const FOLD: u32 = 0;
+const FAN_IN: u32 = 1;
+const FAN_OUT: u32 = 2;
+const TO_ROOT: u32 = 3;
+
+/// The world's ranks in position order from `root`. Every tree below
+/// runs over such a member list (or an explicit group) and is rooted at
+/// position 0.
+fn rotated(n: u32, root: Rank) -> Vec<Rank> {
+    (0..n).map(|pos| (pos + root) % n).collect()
+}
+
+/// `rank`'s position in `members`.
+fn position(members: &[Rank], rank: Rank) -> u32 {
+    members
+        .iter()
+        .position(|&r| r == rank)
+        .unwrap_or_else(|| panic!("rank {rank} called a group collective it is not part of"))
+        as u32
+}
 
 impl Comm {
     /// Block until every rank has entered the barrier.
@@ -46,9 +85,10 @@ impl Comm {
     pub fn try_barrier(&mut self) -> Result<(), CommError> {
         self.enter_phase("coll_barrier");
         let op = self.next_op();
+        let world = rotated(self.size(), 0);
         let out = self
             .coll_entry_guard()
-            .and_then(|epoch| self.barrier_impl(op, epoch));
+            .and_then(|epoch| self.barrier_impl(&world, op, epoch));
         self.exit_phase("coll_barrier");
         out
     }
@@ -95,8 +135,38 @@ impl Comm {
         let seq = self.next_op();
         let out = self
             .coll_entry_guard()
-            .and_then(|epoch| self.allreduce_impl(value, op, seq, epoch));
+            .and_then(|epoch| self.allreduce_impl(value, &op, seq, epoch));
         self.exit_phase("coll_allreduce");
+        out
+    }
+
+    /// Reduce to `root`; non-root ranks get `None`.
+    pub fn reduce<T, F>(&mut self, root: Rank, value: T, op: F) -> Option<T>
+    where
+        T: Wire,
+        F: Fn(T, T) -> T,
+    {
+        self.try_reduce(root, value, op)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Fallible [`Comm::reduce`]: the reduce half of
+    /// [`Comm::try_allreduce`] (same operand order, so the same result),
+    /// plus one hand-off from rank 0 when `root` is another rank.
+    ///
+    /// # Panics
+    /// If `root` is out of range.
+    pub fn try_reduce<T, F>(&mut self, root: Rank, value: T, op: F) -> Result<Option<T>, CommError>
+    where
+        T: Wire,
+        F: Fn(T, T) -> T,
+    {
+        self.enter_phase("coll_reduce");
+        let seq = self.next_op();
+        let out = self
+            .coll_entry_guard()
+            .and_then(|epoch| self.reduce_impl(root, value, &op, seq, epoch));
+        self.exit_phase("coll_reduce");
         out
     }
 
@@ -131,9 +201,10 @@ impl Comm {
     pub fn try_allgather<T: Wire>(&mut self, value: T) -> Result<Vec<T>, CommError> {
         self.enter_phase("coll_allgather");
         let op = self.next_op();
+        let world = rotated(self.size(), 0);
         let out = self
             .coll_entry_guard()
-            .and_then(|epoch| self.allgather_impl(value, op, epoch));
+            .and_then(|epoch| self.allgather_impl(&world, value, op, epoch));
         self.exit_phase("coll_allgather");
         out
     }
@@ -164,7 +235,7 @@ impl Comm {
         let op = self.next_op();
         let out = self
             .group_entry_guard(group)
-            .and_then(|epoch| self.barrier_group_impl(group, op, epoch));
+            .and_then(|epoch| self.barrier_impl(group, op, epoch));
         self.exit_phase("coll_barrier");
         out
     }
@@ -181,70 +252,28 @@ impl Comm {
         let op = self.next_op();
         let out = self
             .group_entry_guard(group)
-            .and_then(|epoch| self.allgather_group_impl(group, value, op, epoch));
+            .and_then(|epoch| self.allgather_impl(group, value, op, epoch));
         self.exit_phase("coll_allgather");
         out
     }
 }
 
 impl Comm {
-    /// Dissemination barrier, ⌈log₂ N⌉ rounds.
-    fn barrier_impl(&mut self, op: u64, epoch: Option<u64>) -> Result<(), CommError> {
-        let n = self.size();
-        if n == 1 {
-            return Ok(());
-        }
-        let me = self.rank();
-        let mut round = 0u32;
-        let mut dist = 1u32;
-        while dist < n {
-            let dst = (me + dist) % n;
-            let src = (me + n - dist) % n;
-            let tag = Self::coll_tag(op, round);
-            self.try_send_raw(dst, tag, Bytes::new(), Transport::Collective)?;
-            self.try_recv_raw_guarded(src, tag, Transport::Collective, epoch)?;
-            round += 1;
-            dist <<= 1;
-        }
-        Ok(())
-    }
-
-    /// Dissemination barrier over the positions of `group`.
-    fn barrier_group_impl(
+    /// Binomial fan-in then fan-out of empty messages over `members`.
+    fn barrier_impl(
         &mut self,
-        group: &[Rank],
+        members: &[Rank],
         op: u64,
         epoch: Option<u64>,
     ) -> Result<(), CommError> {
-        let n = group.len() as u32;
-        if n <= 1 {
-            return Ok(());
-        }
-        let me = self.rank();
-        let pos = group
-            .iter()
-            .position(|&r| r == me)
-            .unwrap_or_else(|| panic!("rank {me} called a group collective it is not part of"))
-            as u32;
-        let mut round = 0u32;
-        let mut dist = 1u32;
-        while dist < n {
-            let dst = group[((pos + dist) % n) as usize];
-            let src = group[((pos + n - dist) % n) as usize];
-            let tag = Self::coll_tag(op, round);
-            self.try_send_raw(dst, tag, Bytes::new(), Transport::Collective)?;
-            self.try_recv_raw_guarded(src, tag, Transport::Collective, epoch)?;
-            round += 1;
-            dist <<= 1;
-        }
+        let pos = position(members, self.rank());
+        let arrived = self.fan_in(members, pos, (), &|(), ()| (), op, epoch)?;
+        let release = arrived.map(|()| Bytes::new());
+        self.fan_out(members, pos, release, op, epoch)?;
         Ok(())
     }
 
-    /// Broadcast `value` from `root` to every rank; `value` is only read at
-    /// the root (other ranks pass `None`).
-    ///
-    /// # Panics
-    /// If the root passes `None` or `root` is out of range.
+    /// Binomial tree from `root` (at position 0 of the rotated world).
     fn bcast_impl<T: Wire>(
         &mut self,
         root: Rank,
@@ -255,51 +284,24 @@ impl Comm {
         let n = self.size();
         let me = self.rank();
         assert!(root < n, "bcast root {root} out of range for world of {n}");
-        // Rotate so the root is virtual rank 0 in a binomial tree.
-        let vrank = (me + n - root) % n;
-        let tag = Self::coll_tag(op, 0);
-        let mut payload: Option<Bytes> = if me == root {
-            Some(value.expect("bcast root must supply a value").to_bytes())
-        } else {
-            None
-        };
-        if payload.is_none() {
-            // Receive from parent: clear the lowest set bit of vrank.
-            let parent_v = vrank & (vrank - 1);
-            let parent = (parent_v + root) % n;
-            payload = Some(self.try_recv_raw_guarded(parent, tag, Transport::Collective, epoch)?);
+        let members = rotated(n, root);
+        if me == root {
+            let value = value.expect("bcast root must supply a value");
+            self.fan_out(&members, 0, Some(value.to_bytes()), op, epoch)?;
+            return Ok(value);
         }
-        let payload = payload.expect("payload present after receive");
-        // Forward to children: set each bit above the lowest set bit of
-        // vrank, as long as the resulting virtual rank is in range.
-        let lowest = if vrank == 0 {
-            n.next_power_of_two()
-        } else {
-            vrank & vrank.wrapping_neg()
-        };
-        let mut bit = 1u32;
-        while bit < lowest && bit < n {
-            let child_v = vrank | bit;
-            if child_v != vrank && child_v < n {
-                let child = (child_v + root) % n;
-                self.try_send_raw(child, tag, payload.clone(), Transport::Collective)?;
-            }
-            bit <<= 1;
-        }
-        Ok(T::from_bytes(&payload)
-            .unwrap_or_else(|e| panic!("rank {me} failed to decode bcast payload: {e}")))
+        let pos = position(&members, me);
+        let payload = self.fan_out(&members, pos, None, op, epoch)?;
+        Ok(decode(me, "bcast payload", &payload))
     }
 
-    /// All-reduce with a user operator. `op(a, b)` must be associative and
-    /// commutative up to the equivalence the caller cares about. The
-    /// reduction order is deterministic (operands are presented
-    /// lower-aggregate-side first), so even an order-sensitive operator
-    /// yields bit-identical results on every rank and across runs; in
-    /// power-of-two worlds the order is exactly rank order.
+    /// All-reduce: [`Comm::reduce_to_zero`], then a binomial broadcast of
+    /// the result encoded once at rank 0. Every rank holds the identical
+    /// result: rank 0 the value it reduced, the others its decoding.
     fn allreduce_impl<T, F>(
         &mut self,
         value: T,
-        op: F,
+        op: &F,
         seq: u64,
         epoch: Option<u64>,
     ) -> Result<T, CommError>
@@ -312,85 +314,183 @@ impl Comm {
             return Ok(value);
         }
         let me = self.rank();
-        let p2 = if n.is_power_of_two() {
-            n
+        let world = rotated(n, 0);
+        let reduced = self.reduce_to_zero(&world, value, op, seq, epoch)?;
+        let encoded = reduced.as_ref().map(Wire::to_bytes);
+        let payload = self.fan_out(&world, me, encoded, seq, epoch)?;
+        Ok(match reduced {
+            Some(result) => result,
+            None => decode(me, "allreduce result", &payload),
+        })
+    }
+
+    /// Reduce to `root`: [`Comm::reduce_to_zero`], then rank 0 hands the
+    /// result to `root` if that is another rank.
+    fn reduce_impl<T, F>(
+        &mut self,
+        root: Rank,
+        value: T,
+        op: &F,
+        seq: u64,
+        epoch: Option<u64>,
+    ) -> Result<Option<T>, CommError>
+    where
+        T: Wire,
+        F: Fn(T, T) -> T,
+    {
+        let n = self.size();
+        let me = self.rank();
+        assert!(root < n, "reduce root {root} out of range for world of {n}");
+        let reduced = self.reduce_to_zero(&rotated(n, 0), value, op, seq, epoch)?;
+        if root == 0 {
+            return Ok(reduced);
+        }
+        let tag = Self::coll_tag(seq, TO_ROOT);
+        if let Some(result) = reduced {
+            self.try_send_raw(root, tag, result.to_bytes(), Transport::Collective)?;
+            Ok(None)
+        } else if me == root {
+            let payload = self.try_recv_raw_guarded(0, tag, Transport::Collective, epoch)?;
+            Ok(Some(decode(me, "reduce result", &payload)))
         } else {
-            n.next_power_of_two() / 2
-        };
-        let rem = n - p2;
+            Ok(None)
+        }
+    }
 
-        let mut acc = value;
-        // Fold phase: ranks >= p2 hand their value to rank - p2.
+    /// Reduce every rank's value to rank 0 (which gets `Some`) in the
+    /// bracket recursive doubling evaluates: ranks ≥ p2, the largest power
+    /// of two ≤ N, fold into rank − p2 (lower rank's operand first), then a
+    /// binomial fan-in over ranks `0..p2` combines aligned blocks. N−1
+    /// messages, N−1 applications of `op`. `world` lists the ranks in
+    /// order.
+    fn reduce_to_zero<T, F>(
+        &mut self,
+        world: &[Rank],
+        value: T,
+        op: &F,
+        seq: u64,
+        epoch: Option<u64>,
+    ) -> Result<Option<T>, CommError>
+    where
+        T: Wire,
+        F: Fn(T, T) -> T,
+    {
+        let n = self.size();
+        let me = self.rank();
+        let p2 = 1u32 << (u32::BITS - 1 - n.leading_zeros());
+        let fold = Self::coll_tag(seq, FOLD);
         if me >= p2 {
-            let tag = Self::coll_tag(seq, 0);
-            self.try_send_raw(me - p2, tag, acc.to_bytes(), Transport::Collective)?;
-            // Wait for the final result in the unfold phase.
-            let tag = Self::coll_tag(seq, u32::MAX);
-            let payload = self.try_recv_raw_guarded(me - p2, tag, Transport::Collective, epoch)?;
-            return Ok(T::from_bytes(&payload)
-                .unwrap_or_else(|e| panic!("rank {me} failed to decode allreduce result: {e}")));
+            self.try_send_raw(me - p2, fold, value.to_bytes(), Transport::Collective)?;
+            return Ok(None);
         }
-        if me < rem {
-            let tag = Self::coll_tag(seq, 0);
-            let payload = self.try_recv_raw_guarded(me + p2, tag, Transport::Collective, epoch)?;
-            let other = T::from_bytes(&payload)
-                .unwrap_or_else(|e| panic!("rank {me} failed to decode fold operand: {e}"));
-            // Lower-rank operand first: acc belongs to me < me + p2.
-            acc = op(acc, other);
+        let mut acc = value;
+        if me + p2 < n {
+            let payload = self.try_recv_raw_guarded(me + p2, fold, Transport::Collective, epoch)?;
+            acc = op(acc, decode(me, "fold operand", &payload));
         }
-        // Recursive doubling among ranks 0..p2.
-        let mut round = 1u32;
-        let mut dist = 1u32;
-        while dist < p2 {
-            let partner = me ^ dist;
-            let tag = Self::coll_tag(seq, round);
-            self.try_send_raw(partner, tag, acc.to_bytes(), Transport::Collective)?;
-            let payload = self.try_recv_raw_guarded(partner, tag, Transport::Collective, epoch)?;
-            let other = T::from_bytes(&payload)
-                .unwrap_or_else(|e| panic!("rank {me} failed to decode allreduce operand: {e}"));
-            acc = if me < partner {
-                op(acc, other)
-            } else {
-                op(other, acc)
-            };
-            round += 1;
-            dist <<= 1;
-        }
-        // Unfold phase: hand the final value back to the folded ranks.
-        if me < rem {
-            let tag = Self::coll_tag(seq, u32::MAX);
-            self.try_send_raw(me + p2, tag, acc.to_bytes(), Transport::Collective)?;
-        }
-        Ok(acc)
+        self.fan_in(&world[..p2 as usize], me, acc, op, seq, epoch)
     }
 
-    /// Reduce to `root`; non-root ranks get `None`.
-    pub fn reduce<T, F>(&mut self, root: Rank, value: T, op: F) -> Option<T>
+    /// Binomial fan-in to position 0. For each bit below its lowest set
+    /// bit, a position folds in the partial result of the child at
+    /// `pos + bit`, then hands its own to the parent `pos − lowest bit`.
+    /// Each combination joins two aligned, adjacent blocks of positions,
+    /// lower block first. Position 0 gets `Some(result)`, the others
+    /// `None`. N−1 messages.
+    fn fan_in<T, F>(
+        &mut self,
+        members: &[Rank],
+        pos: u32,
+        mut acc: T,
+        op: &F,
+        seq: u64,
+        epoch: Option<u64>,
+    ) -> Result<Option<T>, CommError>
     where
         T: Wire,
         F: Fn(T, T) -> T,
     {
-        self.try_reduce(root, value, op)
-            .unwrap_or_else(|e| panic!("{e}"))
+        let n = members.len() as u32;
+        let tag = Self::coll_tag(seq, FAN_IN);
+        let me = self.rank();
+        let mut bit = 1u32;
+        while bit < n {
+            if pos & bit != 0 {
+                let parent = members[(pos - bit) as usize];
+                self.try_send_raw(parent, tag, acc.to_bytes(), Transport::Collective)?;
+                return Ok(None);
+            }
+            if pos + bit < n {
+                let child = members[(pos + bit) as usize];
+                let payload =
+                    self.try_recv_raw_guarded(child, tag, Transport::Collective, epoch)?;
+                acc = op(acc, decode(me, "fan-in operand", &payload));
+            }
+            bit <<= 1;
+        }
+        Ok(Some(acc))
     }
 
-    /// Fallible [`Comm::reduce`].
-    pub fn try_reduce<T, F>(&mut self, root: Rank, value: T, op: F) -> Result<Option<T>, CommError>
-    where
-        T: Wire,
-        F: Fn(T, T) -> T,
-    {
-        // Implemented over allreduce: at the message sizes this library
-        // moves (fingerprint sets), allreduce ≈ reduce + bcast anyway, and
-        // the paper itself reasons in terms of an optimized ALLREDUCE.
-        self.enter_phase("coll_reduce");
-        let seq = self.next_op();
-        let out = self
-            .coll_entry_guard()
-            .and_then(|epoch| self.allreduce_impl(value, op, seq, epoch));
-        self.exit_phase("coll_reduce");
-        let result = out?;
-        Ok((self.rank() == root).then_some(result))
+    /// Binomial broadcast from position 0, which passes `Some(payload)`;
+    /// every other position passes `None`, receives from its parent
+    /// (`pos` with the lowest set bit cleared) and forwards to its children
+    /// (`pos + bit` for each bit below that one, largest subtree first).
+    /// Every rank ends up with the root's `Bytes`, shared, not copied.
+    /// N−1 messages.
+    fn fan_out(
+        &mut self,
+        members: &[Rank],
+        pos: u32,
+        payload: Option<Bytes>,
+        seq: u64,
+        epoch: Option<u64>,
+    ) -> Result<Bytes, CommError> {
+        let n = members.len() as u32;
+        let tag = Self::coll_tag(seq, FAN_OUT);
+        let payload = match payload {
+            Some(payload) => payload,
+            None => {
+                let parent = members[(pos & (pos - 1)) as usize];
+                self.try_recv_raw_guarded(parent, tag, Transport::Collective, epoch)?
+            }
+        };
+        let lowest = if pos == 0 {
+            n.next_power_of_two()
+        } else {
+            pos & pos.wrapping_neg()
+        };
+        let mut bit = lowest >> 1;
+        while bit > 0 {
+            if pos + bit < n {
+                let child = members[(pos + bit) as usize];
+                self.try_send_raw(child, tag, payload.clone(), Transport::Collective)?;
+            }
+            bit >>= 1;
+        }
+        Ok(payload)
+    }
+
+    /// Flat gather of raw blocks at position 0, which gets them in
+    /// position order; the others get `None`. N−1 messages.
+    fn gather_blocks(
+        &mut self,
+        members: &[Rank],
+        pos: u32,
+        mine: Bytes,
+        seq: u64,
+        epoch: Option<u64>,
+    ) -> Result<Option<Vec<Bytes>>, CommError> {
+        let tag = Self::coll_tag(seq, FAN_IN);
+        if pos != 0 {
+            self.try_send_raw(members[0], tag, mine, Transport::Collective)?;
+            return Ok(None);
+        }
+        let mut blocks = Vec::with_capacity(members.len());
+        blocks.push(mine);
+        for &src in &members[1..] {
+            blocks.push(self.try_recv_raw_guarded(src, tag, Transport::Collective, epoch)?);
+        }
+        Ok(Some(blocks))
     }
 
     /// Gather one value per rank at `root` (rank order). Non-roots get `None`.
@@ -404,110 +504,38 @@ impl Comm {
         let n = self.size();
         let me = self.rank();
         assert!(root < n, "gather root {root} out of range for world of {n}");
-        let tag = Self::coll_tag(seq, 0);
-        if me == root {
-            let mut out: Vec<Option<T>> = (0..n).map(|_| None).collect();
-            out[me as usize] = Some(value);
-            for src in 0..n {
-                if src == me {
-                    continue;
-                }
-                let payload = self.try_recv_raw_guarded(src, tag, Transport::Collective, epoch)?;
-                out[src as usize] = Some(T::from_bytes(&payload).unwrap_or_else(|e| {
-                    panic!("rank {me} failed to decode gather item from {src}: {e}")
-                }));
-            }
-            Ok(Some(
-                out.into_iter()
-                    .map(|v| v.expect("all slots filled"))
-                    .collect(),
-            ))
-        } else {
-            self.try_send_raw(root, tag, value.to_bytes(), Transport::Collective)?;
-            Ok(None)
-        }
+        let members = rotated(n, root);
+        let pos = position(&members, me);
+        let gathered = self.gather_blocks(&members, pos, value.to_bytes(), seq, epoch)?;
+        Ok(gathered.map(|mut blocks| {
+            // Position p holds rank (p + root) mod n: rotate to rank order.
+            blocks.rotate_right(root as usize);
+            decode_blocks(me, &blocks)
+        }))
     }
 
-    /// All-gather: every rank contributes one value and receives the full
-    /// rank-ordered vector. Ring algorithm: N-1 steps, each rank forwards
-    /// the block it received in the previous step.
+    /// All-gather over `members`: gather at position 0, which broadcasts
+    /// one length-prefixed concatenation of the blocks; every other
+    /// position slices its copy of that buffer. Result in position order.
     fn allgather_impl<T: Wire>(
         &mut self,
-        value: T,
-        seq: u64,
-        epoch: Option<u64>,
-    ) -> Result<Vec<T>, CommError> {
-        let n = self.size();
-        let me = self.rank();
-        let group: Vec<Rank> = (0..n).collect();
-        self.ring_allgather(&group, me, seq, value.to_bytes(), epoch)
-            .map(|blocks| Self::decode_blocks(me, blocks))
-    }
-
-    /// All-gather over the positions of `group`, group-ordered result.
-    fn allgather_group_impl<T: Wire>(
-        &mut self,
-        group: &[Rank],
+        members: &[Rank],
         value: T,
         seq: u64,
         epoch: Option<u64>,
     ) -> Result<Vec<T>, CommError> {
         let me = self.rank();
-        assert!(
-            group.contains(&me),
-            "rank {me} called a group collective it is not part of"
-        );
-        self.ring_allgather(group, me, seq, value.to_bytes(), epoch)
-            .map(|blocks| Self::decode_blocks(me, blocks))
-    }
-
-    /// Ring all-gather over `group` positions; returns one raw block per
-    /// group member, in group order.
-    fn ring_allgather(
-        &mut self,
-        group: &[Rank],
-        me: Rank,
-        seq: u64,
-        mine: Bytes,
-        epoch: Option<u64>,
-    ) -> Result<Vec<Bytes>, CommError> {
-        let n = group.len() as u32;
-        let pos = group
-            .iter()
-            .position(|&r| r == me)
-            .expect("caller checked membership") as u32;
-        let mut blocks: Vec<Option<Bytes>> = (0..n).map(|_| None).collect();
-        blocks[pos as usize] = Some(mine);
-        let right = group[((pos + 1) % n) as usize];
-        let left = group[((pos + n.max(1) - 1) % n) as usize];
-        for step in 0..n.saturating_sub(1) {
-            let tag = Self::coll_tag(seq, step);
-            // Forward the block that originated at position (pos - step).
-            let origin_out = ((pos + n - step) % n) as usize;
-            let payload = blocks[origin_out]
-                .clone()
-                .expect("block to forward is present by induction");
-            self.try_send_raw(right, tag, payload, Transport::Collective)?;
-            let origin_in = ((pos + n - step - 1) % n) as usize;
-            let incoming = self.try_recv_raw_guarded(left, tag, Transport::Collective, epoch)?;
-            blocks[origin_in] = Some(incoming);
-        }
-        Ok(blocks
-            .into_iter()
-            .map(|b| b.expect("ring completed: every block present"))
-            .collect())
-    }
-
-    fn decode_blocks<T: Wire>(me: Rank, blocks: Vec<Bytes>) -> Vec<T> {
-        blocks
-            .into_iter()
-            .enumerate()
-            .map(|(i, bytes)| {
-                T::from_bytes(&bytes).unwrap_or_else(|e| {
-                    panic!("rank {me} failed to decode allgather block {i}: {e}")
-                })
-            })
-            .collect()
+        let pos = position(members, me);
+        let gathered = self.gather_blocks(members, pos, value.to_bytes(), seq, epoch)?;
+        let all = gathered.as_deref().map(concat_blocks);
+        let all = self.fan_out(members, pos, all, seq, epoch)?;
+        let blocks = match gathered {
+            Some(blocks) => blocks,
+            None => split_blocks(all, members.len()).unwrap_or_else(|e| {
+                panic!("rank {me} received a malformed allgather concatenation: {e}")
+            }),
+        };
+        Ok(decode_blocks(me, &blocks))
     }
 
     /// Personalized all-to-all of raw buffers: `sends[d]` goes to rank `d`;
@@ -548,11 +576,48 @@ impl Comm {
     }
 }
 
+/// Decode a collective payload; a mismatch is a programming error in an
+/// SPMD program, not a recoverable condition.
+fn decode<T: Wire>(me: Rank, what: &str, bytes: &[u8]) -> T {
+    T::from_bytes(bytes).unwrap_or_else(|e| panic!("rank {me} failed to decode {what}: {e}"))
+}
+
+fn decode_blocks<T: Wire>(me: Rank, blocks: &[Bytes]) -> Vec<T> {
+    blocks
+        .iter()
+        .map(|bytes| decode(me, "gathered block", bytes))
+        .collect()
+}
+
+/// One buffer holding every block behind its `u64` length: the
+/// contiguous form of a [`FrameWriter`](crate::wire::FrameWriter) frame
+/// with one attachment per block.
+fn concat_blocks(blocks: &[Bytes]) -> Bytes {
+    let mut out = Vec::with_capacity(blocks.iter().map(|b| 8 + b.len()).sum());
+    for block in blocks {
+        (block.len() as u64).encode(&mut out);
+        out.extend_from_slice(block);
+    }
+    Bytes::from(out)
+}
+
+/// Take a [`concat_blocks`] buffer apart into its `n` blocks, as slices
+/// of `all` (no copy).
+fn split_blocks(all: Bytes, n: usize) -> WireResult<Vec<Bytes>> {
+    let mut reader = FrameReader::new(Frame::single(all));
+    let blocks = (0..n)
+        .map(|_| reader.take_payload().map(Chunk::into_bytes))
+        .collect::<WireResult<_>>()?;
+    reader.finish()?;
+    Ok(blocks)
+}
+
 #[cfg(test)]
 mod tests {
-    use crate::comm::WorldConfig;
+    use crate::comm::{Comm, Rank, WorldConfig};
     use crate::fault::{CommError, FaultPlan, FaultTrigger};
-    use std::time::Duration;
+    use std::sync::Arc;
+    use std::time::{Duration, Instant};
 
     #[test]
     fn barrier_all_sizes() {
@@ -628,6 +693,56 @@ mod tests {
             );
             if n.is_power_of_two() {
                 assert_eq!(first, (0..n).collect::<Vec<_>>(), "n={n}: not rank ordered");
+            }
+        }
+    }
+
+    /// The operand bracket recursive doubling evaluates over `leaves`:
+    /// ranks ≥ p2 fold into rank − p2, then each round of doubling
+    /// distance combines every rank with its partner, lower rank first.
+    fn doubling_bracket<T: Clone>(leaves: &[T], op: impl Fn(T, T) -> T) -> T {
+        let p2 = 1 << leaves.len().ilog2();
+        let mut acc = leaves[..p2].to_vec();
+        for (i, upper) in leaves[p2..].iter().enumerate() {
+            acc[i] = op(acc[i].clone(), upper.clone());
+        }
+        let mut dist = 1;
+        while dist < p2 {
+            acc = (0..p2)
+                .map(|i| {
+                    let (lo, hi) = (i.min(i ^ dist), i.max(i ^ dist));
+                    op(acc[lo].clone(), acc[hi].clone())
+                })
+                .collect();
+            dist <<= 1;
+        }
+        acc.swap_remove(0)
+    }
+
+    #[test]
+    fn allreduce_and_reduce_apply_the_recursive_doubling_bracket() {
+        // A non-associative operator records the bracket itself.
+        let op = |a: String, b: String| format!("({a} {b})");
+        let leaves = |n: u32| (0..n).map(|r| r.to_string()).collect::<Vec<_>>();
+        assert_eq!(doubling_bracket(&leaves(5), op), "(((0 4) 1) (2 3))");
+        for n in [3u32, 5, 6, 11, 96] {
+            let expect = doubling_bracket(&leaves(n), op);
+            let out = WorldConfig::default()
+                .with_workers(2)
+                .launch(n, |comm| {
+                    let all = comm.allreduce(comm.rank().to_string(), op);
+                    let at_last = comm.reduce(n - 1, comm.rank().to_string(), op);
+                    (all, at_last)
+                })
+                .expect_all();
+            for (rank, (all, at_last)) in out.results.iter().enumerate() {
+                assert_eq!(*all, expect, "n={n} rank {rank}");
+                let root = rank as u32 == n - 1;
+                assert_eq!(
+                    at_last.as_ref(),
+                    root.then_some(&expect),
+                    "n={n} rank {rank}"
+                );
             }
         }
     }
@@ -820,6 +935,105 @@ mod tests {
                 &Ok(vec![0, 10, 30, 40]),
                 "rank {rank}"
             );
+        }
+    }
+
+    /// One fallible collective, in world or group form.
+    #[derive(Clone, Copy, Debug)]
+    enum Coll {
+        Barrier,
+        Allgather,
+        Allreduce,
+        WinCreate,
+        BarrierGroup,
+        AllgatherGroup,
+    }
+
+    impl Coll {
+        fn is_group(self) -> bool {
+            matches!(self, Coll::BarrierGroup | Coll::AllgatherGroup)
+        }
+
+        fn run(self, comm: &mut Comm, group: &[Rank]) -> Result<(), CommError> {
+            match self {
+                Coll::Barrier => comm.try_barrier(),
+                Coll::Allgather => comm.try_allgather(comm.rank()).map(drop),
+                Coll::Allreduce => comm.try_allreduce(1u64, |a, b| a + b).map(drop),
+                Coll::WinCreate => comm.try_win_create(64).map(drop),
+                Coll::BarrierGroup => comm.try_barrier_group(group),
+                Coll::AllgatherGroup => comm.try_allgather_group(group, comm.rank()).map(drop),
+            }
+        }
+    }
+
+    #[test]
+    fn a_crash_at_any_tree_position_fails_survivors_typed_and_fast() {
+        let timeout = Duration::from_secs(2);
+        for n in [7u32, 12] {
+            let world: Vec<Rank> = (0..n).collect();
+            // Rank 3 sits the group form out, so group positions differ
+            // from ranks.
+            let group: Vec<Rank> = (0..n).filter(|&r| r != 3).collect();
+            for coll in [
+                Coll::Barrier,
+                Coll::Allgather,
+                Coll::Allreduce,
+                Coll::WinCreate,
+                Coll::BarrierGroup,
+                Coll::AllgatherGroup,
+            ] {
+                let members = if coll.is_group() { &group } else { &world };
+                // Positions 0, 4 and 1: the root of every tree here, an
+                // interior node of the fan-out (and of the barrier's
+                // fan-in), and a leaf.
+                for victim in [members[0], members[4], members[1]] {
+                    // Dying at its first message op, the victim has sent
+                    // nothing, so no survivor can complete; dying at its
+                    // second, some may.
+                    for op in [1u64, 2] {
+                        for workers in [1, 2, 4] {
+                            let case = format!(
+                                "{coll:?} n={n} victim {victim} at op {op}, {workers} workers"
+                            );
+                            let plan = FaultPlan::new(u64::from(n))
+                                .crash(victim, FaultTrigger::MessageCount(op));
+                            let out = WorldConfig::default()
+                                .with_recv_timeout(timeout)
+                                .with_workers(workers)
+                                .with_faults(plan)
+                                .launch(n, |comm| {
+                                    if !members.contains(&comm.rank()) {
+                                        return None;
+                                    }
+                                    let started = Instant::now();
+                                    let first = coll.run(comm, &group);
+                                    let waited = started.elapsed();
+                                    let next = if coll.is_group() {
+                                        comm.try_barrier_group(&group)
+                                    } else {
+                                        comm.try_barrier()
+                                    };
+                                    Some((first, waited, next, Arc::clone(comm.win_registry())))
+                                });
+                            assert_eq!(out.crashed_ranks(), vec![victim], "{case}");
+                            let failed = Err(CommError::RankFailed { rank: victim });
+                            for (rank, outcome) in out.outcomes.iter().enumerate() {
+                                let Some(Some((first, waited, next, registry))) =
+                                    outcome.as_completed()
+                                else {
+                                    continue;
+                                };
+                                if op == 1 || first.is_err() {
+                                    assert_eq!(*first, failed, "{case}: rank {rank}");
+                                }
+                                assert!(*waited < timeout, "{case}: rank {rank} waited {waited:?}");
+                                assert_eq!(*next, failed, "{case}: rank {rank}, next collective");
+                                assert_eq!(registry.pinned_exposures(), 0, "{case}: rank {rank}");
+                            }
+                        }
+                    }
+                }
+            }
         }
     }
 }

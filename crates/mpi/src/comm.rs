@@ -27,7 +27,7 @@ use crate::fault::{
 };
 use crate::sched::{self, SchedSlot};
 use crate::stats::{RankCounters, TrafficReport, Transport};
-use crate::window::WinBuf;
+use crate::window::WinRegistry;
 use crate::wire::{self, Chunk, Frame, Wire};
 
 /// Rank index within a world (MPI `comm_rank`).
@@ -55,20 +55,7 @@ pub(crate) struct Message {
     pub payload: Frame,
 }
 
-/// Out-of-band control messages (RMA window registration). Real MPI also
-/// exchanges window handles out-of-band during `MPI_Win_create`.
-#[derive(Clone)]
-pub(crate) enum CtrlMsg {
-    Win {
-        src: Rank,
-        seq: u64,
-        handle: Arc<WinBuf>,
-    },
-    /// Death notice on the control channel (wakes `win_create` handshakes).
-    Dead { src: Rank },
-}
-
-/// Configuration for a [`World`] run. The one launch entry point is
+/// Configuration for a world run. The one launch entry point is
 /// [`WorldConfig::launch`]; everything a run can vary — worker pool size,
 /// fault schedule, tracing, receive timeout — lives here.
 #[derive(Debug, Clone)]
@@ -131,8 +118,8 @@ impl WorldConfig {
     }
 
     /// Launch `size` ranks running `f` under this configuration and wait
-    /// for the world to finish. This is the single entry point behind the
-    /// [`World::run`] family: injected crash faults surface as
+    /// for the world to finish. This is the single entry point for running
+    /// ranks: injected crash faults surface as
     /// [`RankOutcome::Crashed`] values (never unwinds the caller), real
     /// panics from a rank propagate, and [`Launch::expect_all`] recovers
     /// the strict "every rank completed" contract.
@@ -160,7 +147,7 @@ pub struct RunOutput<T> {
     pub trace: Option<WorldTrace>,
 }
 
-/// How one rank's thread ended under [`World::run_faulty`].
+/// How one rank's thread ended under [`WorldConfig::launch`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RankOutcome<T> {
     /// The rank ran to completion and returned this value.
@@ -207,10 +194,6 @@ pub struct Launch<T> {
     /// Per-rank phase traces when [`WorldConfig::trace`] was set.
     pub trace: Option<WorldTrace>,
 }
-
-/// Former name of [`Launch`], kept for one release for downstream readers;
-/// in-repo callers all use `WorldConfig::launch` / [`Launch`].
-pub type FaultRunOutput<T> = Launch<T>;
 
 impl<T> Launch<T> {
     /// Ranks that died to injected crashes, ascending.
@@ -274,53 +257,6 @@ fn silence_injected_crash_panics() {
     });
 }
 
-/// Entry point: spawn `size` ranks and run `f` on each.
-///
-/// These free functions are thin delegating wrappers over the one real
-/// entry point, [`WorldConfig::launch`]; they remain for one release (see
-/// the README migration notes) and all in-repo callers use `launch`.
-pub struct World;
-
-impl World {
-    /// Run `f` on `size` ranks with default configuration. Wrapper over
-    /// `WorldConfig::default().launch(..).expect_all()`.
-    ///
-    /// # Panics
-    /// Propagates a panic from any rank and panics if `size == 0`.
-    pub fn run<T, F>(size: u32, f: F) -> RunOutput<T>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
-        WorldConfig::default().launch(size, f).expect_all()
-    }
-
-    /// Run `f` on `size` ranks with explicit configuration. Wrapper over
-    /// [`WorldConfig::launch`] + [`Launch::expect_all`].
-    ///
-    /// # Panics
-    /// Propagates any rank's panic; also panics if the configuration
-    /// injects a crash fault that fires (use [`WorldConfig::launch`] to
-    /// observe crashes as values).
-    pub fn run_with<T, F>(size: u32, config: &WorldConfig, f: F) -> RunOutput<T>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
-        config.launch(size, f).expect_all()
-    }
-
-    /// Run `f` on `size` ranks, treating injected crash faults as data.
-    /// Wrapper over [`WorldConfig::launch`].
-    pub fn run_faulty<T, F>(size: u32, config: &WorldConfig, f: F) -> Launch<T>
-    where
-        T: Send,
-        F: Fn(&mut Comm) -> T + Sync,
-    {
-        config.launch(size, f)
-    }
-}
-
 /// The world launcher behind [`WorldConfig::launch`]: builds the per-rank
 /// channel mesh, hands every rank body to the [`sched`] executor (bounded
 /// worker pool when `config.workers` is set, thread-per-rank otherwise),
@@ -344,28 +280,22 @@ where
 
     let mut data_senders = Vec::with_capacity(size as usize);
     let mut data_receivers = Vec::with_capacity(size as usize);
-    let mut ctrl_senders = Vec::with_capacity(size as usize);
-    let mut ctrl_receivers = Vec::with_capacity(size as usize);
     for _ in 0..size {
         let (ts, tr) = channel::<Message>();
         data_senders.push(ts);
         data_receivers.push(tr);
-        let (cs, cr) = channel::<CtrlMsg>();
-        ctrl_senders.push(cs);
-        ctrl_receivers.push(cr);
     }
     let data_senders = Arc::new(data_senders);
-    let ctrl_senders = Arc::new(ctrl_senders);
+    let win_registry = Arc::new(WinRegistry::default());
 
     let f = &f;
     let tasks: Vec<_> = data_receivers
         .into_iter()
-        .zip(ctrl_receivers)
         .enumerate()
-        .map(|(rank, (receiver, ctrl_receiver))| {
+        .map(|(rank, receiver)| {
             let rank = rank as Rank;
             let data_senders = Arc::clone(&data_senders);
-            let ctrl_senders = Arc::clone(&ctrl_senders);
+            let win_registry = Arc::clone(&win_registry);
             let counters = Arc::clone(&counters);
             let fault_rt = fault_rt.clone();
             let my_faults: Vec<Fault> = config
@@ -386,10 +316,8 @@ where
                     size,
                     data_senders,
                     receiver,
-                    ctrl_senders,
-                    ctrl_receiver,
                     pending: HashMap::new(),
-                    pending_ctrl: HashMap::new(),
+                    win_registry,
                     counters,
                     op_seq: 0,
                     win_seq: 0,
@@ -481,11 +409,10 @@ pub struct Comm {
     size: u32,
     data_senders: Arc<Vec<Sender<Message>>>,
     receiver: Receiver<Message>,
-    ctrl_senders: Arc<Vec<Sender<CtrlMsg>>>,
-    ctrl_receiver: Receiver<CtrlMsg>,
     /// Unexpected-message queue: messages that arrived before their receive.
     pending: HashMap<(Rank, Tag), VecDeque<Frame>>,
-    pending_ctrl: HashMap<(Rank, u64), Arc<WinBuf>>,
+    /// The world's window registration table (see [`crate::window`]).
+    win_registry: Arc<WinRegistry>,
     counters: Arc<Vec<RankCounters>>,
     /// Collective sequence number; SPMD programs call collectives in the
     /// same order on every rank, so this stays globally consistent and
@@ -585,6 +512,11 @@ impl Comm {
     /// Borrow the shared per-rank counters (used by [`crate::window`]).
     pub(crate) fn counters(&self) -> &Arc<Vec<RankCounters>> {
         &self.counters
+    }
+
+    /// The world's window registration table (used by [`crate::window`]).
+    pub(crate) fn win_registry(&self) -> &Arc<WinRegistry> {
+        &self.win_registry
     }
 
     /// Shared fault state, if a plan is installed (used by [`crate::window`]).
@@ -703,9 +635,9 @@ impl Comm {
 
     /// Kill this rank: record the death (flag first — peers that observe
     /// it are guaranteed to find every earlier message already queued),
-    /// run the crash hook, wake every peer on both channels, balance the
-    /// trace with a `fault.injected` span, and unwind with the private
-    /// payload [`World::run_faulty`] catches.
+    /// run the crash hook, wake every peer, balance the trace with a
+    /// `fault.injected` span, and unwind with the private payload
+    /// [`WorldConfig::launch`] catches.
     fn crash_now(&mut self) -> ! {
         let rank = self.rank;
         if let Some(rt) = &self.fault_rt {
@@ -724,7 +656,6 @@ impl Comm {
                 tag: DEATH_TAG,
                 payload: Frame::new(),
             });
-            let _ = self.ctrl_senders[dst as usize].send(CtrlMsg::Dead { src: rank });
         }
         self.tracer.enter("fault.injected");
         self.tracer.exit("fault.injected");
@@ -763,107 +694,6 @@ impl Comm {
                 }
             }
             None => Ok(None),
-        }
-    }
-
-    pub(crate) fn ctrl_send(&self, dst: Rank, msg: CtrlMsg) {
-        self.ctrl_senders[dst as usize]
-            .send(msg)
-            .expect("world torn down mid-operation");
-    }
-
-    /// Fallible window-handle handshake. `coll_epoch` as in
-    /// [`Comm::try_recv_raw_guarded`].
-    pub(crate) fn try_ctrl_recv_win(
-        &mut self,
-        src: Rank,
-        seq: u64,
-        coll_epoch: Option<u64>,
-    ) -> Result<Arc<WinBuf>, CommError> {
-        if let Some(handle) = self.pending_ctrl.remove(&(src, seq)) {
-            return Ok(handle);
-        }
-        let deadline = Instant::now() + self.recv_timeout;
-        loop {
-            // Drain queued ctrl messages before consulting death flags: a
-            // handle sent before the sender died is already queued.
-            loop {
-                match self.ctrl_receiver.try_recv() {
-                    Ok(msg) => {
-                        if let Some(handle) = self.absorb_ctrl(msg, src, seq) {
-                            return Ok(handle);
-                        }
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => {
-                        return Err(CommError::WorldTornDown { rank: self.rank })
-                    }
-                }
-            }
-            if let Some(rt) = &self.fault_rt {
-                if rt.is_dead(src) {
-                    return Err(CommError::RankFailed { rank: src });
-                }
-                if let Some(snap) = coll_epoch {
-                    if let Some(rank) = rt.newly_dead(snap) {
-                        return Err(CommError::RankFailed { rank });
-                    }
-                }
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return Err(CommError::DeadlockSuspected {
-                    rank: self.rank,
-                    src,
-                    tag: INTERNAL_TAG | seq,
-                    waited: self.recv_timeout,
-                });
-            }
-            // Blocking RMA-handshake edge: park the worker slot while the
-            // control channel sleeps so a pooled peer can run.
-            let received = {
-                let (sched, ctrl_receiver) = (&self.sched, &self.ctrl_receiver);
-                sched.park_while(|| ctrl_receiver.recv_timeout(deadline - now))
-            };
-            match received {
-                Ok(msg) => {
-                    if let Some(handle) = self.absorb_ctrl(msg, src, seq) {
-                        return Ok(handle);
-                    }
-                }
-                Err(RecvTimeoutError::Timeout) => {
-                    return Err(CommError::DeadlockSuspected {
-                        rank: self.rank,
-                        src,
-                        tag: INTERNAL_TAG | seq,
-                        waited: self.recv_timeout,
-                    })
-                }
-                Err(RecvTimeoutError::Disconnected) => {
-                    return Err(CommError::WorldTornDown { rank: self.rank })
-                }
-            }
-        }
-    }
-
-    /// Match or stash one ctrl message; death notices are pure wakeups.
-    fn absorb_ctrl(&mut self, msg: CtrlMsg, src: Rank, seq: u64) -> Option<Arc<WinBuf>> {
-        match msg {
-            CtrlMsg::Win {
-                src: s,
-                seq: q,
-                handle,
-            } => {
-                if s == src && q == seq {
-                    return Some(handle);
-                }
-                self.pending_ctrl.insert((s, q), handle);
-                None
-            }
-            CtrlMsg::Dead { src: dead } => {
-                debug_assert!(self.fault_rt.as_ref().is_some_and(|rt| rt.is_dead(dead)));
-                None
-            }
         }
     }
 
@@ -1181,34 +1011,40 @@ mod tests {
 
     #[test]
     fn single_rank_world_runs() {
-        let out = World::run(1, |comm| {
-            assert_eq!(comm.rank(), 0);
-            assert_eq!(comm.size(), 1);
-            42u32
-        });
+        let out = WorldConfig::default()
+            .launch(1, |comm| {
+                assert_eq!(comm.rank(), 0);
+                assert_eq!(comm.size(), 1);
+                42u32
+            })
+            .expect_all();
         assert_eq!(out.results, vec![42]);
         assert_eq!(out.traffic.total_sent(), 0);
     }
 
     #[test]
     fn results_are_rank_ordered() {
-        let out = World::run(8, |comm| comm.rank() * 10);
+        let out = WorldConfig::default()
+            .launch(8, |comm| comm.rank() * 10)
+            .expect_all();
         assert_eq!(out.results, vec![0, 10, 20, 30, 40, 50, 60, 70]);
     }
 
     #[test]
     fn ping_pong() {
-        let out = World::run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send_bytes(1, 7, Bytes::from_static(b"ping"));
-                comm.recv(1, 8).to_vec()
-            } else {
-                let m = comm.recv(0, 7);
-                assert_eq!(&m[..], b"ping");
-                comm.send_bytes(0, 8, Bytes::from_static(b"pong"));
-                m.to_vec()
-            }
-        });
+        let out = WorldConfig::default()
+            .launch(2, |comm| {
+                if comm.rank() == 0 {
+                    comm.send_bytes(1, 7, Bytes::from_static(b"ping"));
+                    comm.recv(1, 8).to_vec()
+                } else {
+                    let m = comm.recv(0, 7);
+                    assert_eq!(&m[..], b"ping");
+                    comm.send_bytes(0, 8, Bytes::from_static(b"pong"));
+                    m.to_vec()
+                }
+            })
+            .expect_all();
         assert_eq!(out.results[0], b"pong");
         assert_eq!(out.results[1], b"ping");
         assert_eq!(out.traffic.total_sent(), 8);
@@ -1217,59 +1053,67 @@ mod tests {
 
     #[test]
     fn out_of_order_tags_are_matched() {
-        let out = World::run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send_bytes(1, 1, Bytes::from_static(b"first"));
-                comm.send_bytes(1, 2, Bytes::from_static(b"second"));
-                0
-            } else {
-                // Receive in the opposite order of sending.
-                let b = comm.recv(0, 2);
-                let a = comm.recv(0, 1);
-                assert_eq!(&a[..], b"first");
-                assert_eq!(&b[..], b"second");
-                1
-            }
-        });
+        let out = WorldConfig::default()
+            .launch(2, |comm| {
+                if comm.rank() == 0 {
+                    comm.send_bytes(1, 1, Bytes::from_static(b"first"));
+                    comm.send_bytes(1, 2, Bytes::from_static(b"second"));
+                    0
+                } else {
+                    // Receive in the opposite order of sending.
+                    let b = comm.recv(0, 2);
+                    let a = comm.recv(0, 1);
+                    assert_eq!(&a[..], b"first");
+                    assert_eq!(&b[..], b"second");
+                    1
+                }
+            })
+            .expect_all();
         assert_eq!(out.results, vec![0, 1]);
     }
 
     #[test]
     fn same_tag_messages_keep_fifo_order() {
-        let out = World::run(2, |comm| {
-            if comm.rank() == 0 {
-                for i in 0..10u8 {
-                    comm.send_bytes(1, 5, Bytes::from(vec![i]));
+        let out = WorldConfig::default()
+            .launch(2, |comm| {
+                if comm.rank() == 0 {
+                    for i in 0..10u8 {
+                        comm.send_bytes(1, 5, Bytes::from(vec![i]));
+                    }
+                    Vec::new()
+                } else {
+                    (0..10).map(|_| comm.recv(0, 5)[0]).collect::<Vec<u8>>()
                 }
-                Vec::new()
-            } else {
-                (0..10).map(|_| comm.recv(0, 5)[0]).collect::<Vec<u8>>()
-            }
-        });
+            })
+            .expect_all();
         assert_eq!(out.results[1], (0..10).collect::<Vec<u8>>());
     }
 
     #[test]
     fn typed_send_recv() {
-        let out = World::run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send_val(1, 3, &vec![(1u32, 2u64), (3, 4)]);
-                Vec::new()
-            } else {
-                comm.recv_val::<Vec<(u32, u64)>>(0, 3)
-            }
-        });
+        let out = WorldConfig::default()
+            .launch(2, |comm| {
+                if comm.rank() == 0 {
+                    comm.send_val(1, 3, &vec![(1u32, 2u64), (3, 4)]);
+                    Vec::new()
+                } else {
+                    comm.recv_val::<Vec<(u32, u64)>>(0, 3)
+                }
+            })
+            .expect_all();
         assert_eq!(out.results[1], vec![(1, 2), (3, 4)]);
     }
 
     #[test]
     fn traffic_is_conserved() {
-        let out = World::run(4, |comm| {
-            let dst = (comm.rank() + 1) % comm.size();
-            let src = (comm.rank() + comm.size() - 1) % comm.size();
-            comm.send_bytes(dst, 1, Bytes::from_static(&[0u8; 100]));
-            comm.recv(src, 1);
-        });
+        let out = WorldConfig::default()
+            .launch(4, |comm| {
+                let dst = (comm.rank() + 1) % comm.size();
+                let src = (comm.rank() + comm.size() - 1) % comm.size();
+                comm.send_bytes(dst, 1, Bytes::from_static(&[0u8; 100]));
+                comm.recv(src, 1);
+            })
+            .expect_all();
         assert_eq!(out.traffic.total_sent(), out.traffic.total_recv());
         assert_eq!(out.traffic.total_sent(), 400);
     }
@@ -1277,13 +1121,15 @@ mod tests {
     #[test]
     #[should_panic(expected = "reserved internal bit")]
     fn internal_tag_rejected_for_users() {
-        World::run(2, |comm| {
-            if comm.rank() == 0 {
-                comm.send_bytes(1, INTERNAL_TAG | 1, Bytes::from_static(b"nope"));
-            } else {
-                // Rank 1 must not block forever while rank 0 panics.
-            }
-        });
+        WorldConfig::default()
+            .launch(2, |comm| {
+                if comm.rank() == 0 {
+                    comm.send_bytes(1, INTERNAL_TAG | 1, Bytes::from_static(b"nope"));
+                } else {
+                    // Rank 1 must not block forever while rank 0 panics.
+                }
+            })
+            .expect_all();
     }
 
     #[test]
@@ -1293,15 +1139,19 @@ mod tests {
             recv_timeout: Duration::from_millis(100),
             ..Default::default()
         };
-        World::run_with(1, &config, |comm| {
-            // Receive that can never be matched.
-            comm.recv(0, 1);
-        });
+        config
+            .launch(1, |comm| {
+                // Receive that can never be matched.
+                comm.recv(0, 1);
+            })
+            .expect_all();
     }
 
     #[test]
     fn many_ranks_spawn() {
-        let out = World::run(128, |comm| comm.rank());
+        let out = WorldConfig::default()
+            .launch(128, |comm| comm.rank())
+            .expect_all();
         assert_eq!(out.results.len(), 128);
         assert_eq!(out.results[127], 127);
     }
@@ -1398,7 +1248,7 @@ mod tests {
     #[test]
     fn try_recv_reports_deadlock_with_context() {
         let config = WorldConfig::default().with_recv_timeout(Duration::from_millis(50));
-        let out = World::run_with(1, &config, |comm| comm.try_recv(0, 9));
+        let out = config.launch(1, |comm| comm.try_recv(0, 9)).expect_all();
         match &out.results[0] {
             Err(CommError::DeadlockSuspected { rank, src, tag, .. }) => {
                 assert_eq!((*rank, *src, *tag), (0, 0, 9));
@@ -1410,7 +1260,7 @@ mod tests {
     #[test]
     fn injected_crash_becomes_an_outcome() {
         let plan = FaultPlan::new(1).crash(1, FaultTrigger::MessageCount(1));
-        let out = World::run_faulty(3, &fault_config(plan), |comm| {
+        let out = fault_config(plan).launch(3, |comm| {
             if comm.rank() == 1 {
                 // First message op trips the fault before anything sends.
                 let _ = comm.try_send_bytes(0, 1, Bytes::from_static(b"never arrives"));
@@ -1427,7 +1277,7 @@ mod tests {
     #[test]
     fn send_to_dead_rank_fails_fast() {
         let plan = FaultPlan::new(2).crash(1, FaultTrigger::PhaseStart("work".into()));
-        let out = World::run_faulty(2, &fault_config(plan), |comm| {
+        let out = fault_config(plan).launch(2, |comm| {
             if comm.rank() == 1 {
                 comm.enter_phase("work");
                 comm.exit_phase("work");
@@ -1449,7 +1299,7 @@ mod tests {
     #[test]
     fn nth_phase_start_fires_on_the_exact_occurrence() {
         let plan = FaultPlan::new(17).crash(1, FaultTrigger::PhaseStartNth("step".into(), 3));
-        let out = World::run_faulty(2, &fault_config(plan), |comm| {
+        let out = fault_config(plan).launch(2, |comm| {
             let mut opened = 0u32;
             for _ in 0..5 {
                 comm.enter_phase("step");
@@ -1467,7 +1317,7 @@ mod tests {
     #[test]
     fn nth_phase_start_with_count_one_matches_plain_start() {
         let plan = FaultPlan::new(18).crash(0, FaultTrigger::PhaseStartNth("go".into(), 1));
-        let out = World::run_faulty(1, &fault_config(plan), |comm| {
+        let out = fault_config(plan).launch(1, |comm| {
             comm.enter_phase("go");
             comm.exit_phase("go");
         });
@@ -1478,7 +1328,7 @@ mod tests {
     fn recv_from_dying_rank_wakes_and_fails_fast() {
         let plan = FaultPlan::new(3).crash(1, FaultTrigger::PhaseEnd("prep".into()));
         let started = Instant::now();
-        let out = World::run_faulty(2, &fault_config(plan), |comm| {
+        let out = fault_config(plan).launch(2, |comm| {
             if comm.rank() == 1 {
                 std::thread::sleep(Duration::from_millis(50));
                 comm.enter_phase("prep");
@@ -1498,7 +1348,7 @@ mod tests {
     #[test]
     fn message_sent_before_death_is_still_delivered() {
         let plan = FaultPlan::new(4).crash(1, FaultTrigger::PhaseEnd("send".into()));
-        let out = World::run_faulty(2, &fault_config(plan), |comm| {
+        let out = fault_config(plan).launch(2, |comm| {
             if comm.rank() == 1 {
                 comm.enter_phase("send");
                 comm.send_bytes(0, 5, Bytes::from_static(b"last words"));
@@ -1520,7 +1370,7 @@ mod tests {
         let plan =
             FaultPlan::new(5).delay(0, FaultTrigger::MessageCount(1), Duration::from_millis(80));
         let started = Instant::now();
-        let out = World::run_faulty(2, &fault_config(plan), |comm| {
+        let out = fault_config(plan).launch(2, |comm| {
             if comm.rank() == 0 {
                 comm.send_bytes(1, 6, Bytes::from_static(b"slow"));
             } else {
@@ -1541,7 +1391,7 @@ mod tests {
         let plan = FaultPlan::new(6)
             .crash(2, FaultTrigger::MessageCount(1))
             .on_crash(move |rank| seen.store(rank, Ordering::SeqCst));
-        let out = World::run_faulty(3, &fault_config(plan), |comm| {
+        let out = fault_config(plan).launch(3, |comm| {
             if comm.rank() == 2 {
                 let _ = comm.try_send_bytes(0, 1, Bytes::from_static(b"x"));
             }
@@ -1561,7 +1411,7 @@ mod tests {
             .on_transient(move |rank, ops| {
                 seen.store((u64::from(rank) << 32) | u64::from(ops), Ordering::SeqCst)
             });
-        let out = World::run_faulty(2, &fault_config(plan), |comm| {
+        let out = fault_config(plan).launch(2, |comm| {
             comm.enter_phase("fetch");
             comm.exit_phase("fetch");
             comm.rank()
@@ -1573,7 +1423,7 @@ mod tests {
     #[test]
     fn live_and_failed_rank_views() {
         let plan = FaultPlan::new(7).crash(0, FaultTrigger::PhaseStart("go".into()));
-        let out = World::run_faulty(3, &fault_config(plan), |comm| {
+        let out = fault_config(plan).launch(3, |comm| {
             if comm.rank() == 0 {
                 comm.enter_phase("go");
                 comm.exit_phase("go");
@@ -1592,14 +1442,15 @@ mod tests {
     fn same_plan_replays_the_same_crashes() {
         let run = || {
             let plan = FaultPlan::seeded(99, 4, 2, &["a", "b"]);
-            World::run_faulty(4, &fault_config(plan), |comm| {
-                for p in ["a", "b"] {
-                    comm.enter_phase(p);
-                    comm.exit_phase(p);
-                }
-                comm.rank()
-            })
-            .crashed_ranks()
+            fault_config(plan)
+                .launch(4, |comm| {
+                    for p in ["a", "b"] {
+                        comm.enter_phase(p);
+                        comm.exit_phase(p);
+                    }
+                    comm.rank()
+                })
+                .crashed_ranks()
         };
         let first = run();
         assert_eq!(first.len(), 2);
@@ -1608,10 +1459,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "died to an injected crash fault")]
-    fn run_with_refuses_crashed_ranks() {
+    fn expect_all_refuses_crashed_ranks() {
         let plan = FaultPlan::new(8).crash(0, FaultTrigger::MessageCount(1));
-        World::run_with(1, &fault_config(plan), |comm| {
-            let _ = comm.try_send_bytes(0, 1, Bytes::from_static(b"boom"));
-        });
+        fault_config(plan)
+            .launch(1, |comm| {
+                let _ = comm.try_send_bytes(0, 1, Bytes::from_static(b"boom"));
+            })
+            .expect_all();
     }
 }

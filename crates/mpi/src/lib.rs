@@ -5,10 +5,14 @@
 //! messaging uses matched `(source, tag)` channels with an
 //! unexpected-message queue, and the collectives (`barrier`, `bcast`,
 //! `reduce`, `allreduce` with a user operator, `gather`, `allgather`,
-//! `alltoallv`) use the textbook algorithms a real MPI library would pick.
-//! One-sided communication is provided through [`Window`]s mirroring
-//! `MPI_Win_create` / `MPI_Put` / `MPI_Win_fence`, which is what the
-//! paper's single-sided exchange phase uses.
+//! `alltoallv`) run on binomial trees and flat gathers that send O(N)
+//! messages each: on a pooled world every waiting receive costs a park
+//! and an unpark, so message count, not depth, sets a collective's cost
+//! (see [`collectives`]). One-sided communication is provided through
+//! [`Window`]s mirroring `MPI_Win_create` / `MPI_Put` / `MPI_Win_fence`,
+//! which is what the paper's single-sided exchange phase uses; creation
+//! registers exposures in a world-shared table and sends no messages
+//! beyond its opening barrier (see [`window`]).
 //!
 //! Every transfer is byte-accounted per rank ([`stats`]); the evaluation
 //! harness feeds these exact counts to `replidedup-sim` to recover
@@ -36,9 +40,7 @@ pub mod stats;
 pub mod window;
 pub mod wire;
 
-pub use comm::{
-    Comm, FaultRunOutput, Launch, Rank, RankOutcome, RunOutput, Tag, World, WorldConfig,
-};
+pub use comm::{Comm, Launch, Rank, RankOutcome, RunOutput, Tag, WorldConfig};
 pub use fault::{
     CommError, CrashHook, Fault, FaultAction, FaultPlan, FaultSpecError, FaultTrigger,
     TransientHook,

@@ -1,17 +1,16 @@
 //! Bounded worker-pool scheduler for rank execution.
 //!
-//! [`World`](crate::World) historically ran one OS thread per rank, so a
-//! 408-rank world (the paper's scale) needed 408 simultaneously runnable
-//! threads. This module multiplexes rank execution onto a bounded number of
+//! The runtime historically ran one OS thread per rank, so a 408-rank
+//! world (the paper's scale) needed 408 simultaneously runnable threads. This module multiplexes rank execution onto a bounded number of
 //! *worker slots* instead: every rank still owns a thread (its stack is the
 //! cheapest possible representation of suspended rank state — the zero-copy
 //! `Chunk` payloads mean a parked rank pins no bulk buffers beyond what the
 //! algorithm itself holds), but only `workers` of them are runnable at any
 //! instant. A rank *parks* — releases its slot — whenever it blocks on a
-//! collective or RMA edge (a matched receive, a window handshake, an
-//! injected delay) and reacquires a slot before it resumes. Because every
-//! blocking wait parks, slot capacity can never deadlock the world: a rank
-//! holding a slot is by construction runnable.
+//! collective or RMA edge (a matched receive or an injected delay) and
+//! reacquires a slot before it resumes. Because every blocking wait parks,
+//! slot capacity can never deadlock the world: a rank holding a slot is by
+//! construction runnable.
 //!
 //! Scheduling changes only *when* ranks run, never *what* they compute:
 //! message matching is by `(source, tag)`, so dump/restore results and

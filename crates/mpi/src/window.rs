@@ -8,18 +8,24 @@
 //! occupies most of the memory at checkpoint time.
 //!
 //! Semantics mirror `MPI_Win_create` / `MPI_Put` / `MPI_Win_fence`:
-//! creation is collective (handles are exchanged out-of-band, as a real MPI
-//! implementation registers memory out-of-band), `put` is one-sided and
-//! completes at the next fence, and local reads are only valid after a
-//! fence. In this runtime a `put` is a locked `memcpy` into the target
-//! buffer, so the fence reduces to a barrier.
+//! creation is collective, `put` is one-sided and completes at the next
+//! fence, and local reads are only valid after a fence. In this runtime a
+//! `put` is a locked `memcpy` into the target buffer, so the fence reduces
+//! to a barrier.
+//!
+//! Creation exchanges no messages of its own. All ranks share one process,
+//! so a world-wide registration table (`WinRegistry`) stands in for the
+//! handle exchange a distributed MPI implementation runs over the network:
+//! each rank deposits its exposure under the window's sequence number, and
+//! after the opening barrier every rank reads the complete set of handles.
 
-use std::sync::{Arc, Mutex};
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use bytes::Bytes;
 use replidedup_buf::{global_pool, Chunk};
 
-use crate::comm::{Comm, CtrlMsg, Rank};
+use crate::comm::{Comm, Rank};
 use crate::fault::{CommError, FaultRuntime};
 
 /// Shared backing buffer of one rank's window. Backed by the global
@@ -42,6 +48,120 @@ impl Drop for WinBuf {
 impl std::fmt::Debug for WinBuf {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WinBuf").field("size", &self.size).finish()
+    }
+}
+
+/// One window's registration, keyed by its sequence number.
+enum Registration {
+    /// The handles deposited so far, by rank; `unread` ranks have not
+    /// picked the set up yet.
+    Open {
+        handles: Vec<Option<Arc<WinBuf>>>,
+        unread: u32,
+    },
+    /// Some rank failed this creation. Holds no exposure; later readers
+    /// fail with the same error.
+    Failed(CommError),
+}
+
+/// The world-wide window registration table. An entry lives from the
+/// first deposit until the last rank picks the handles up; a rank that
+/// fails the creation (error return or crash) replaces it with a
+/// [`Registration::Failed`] marker that pins no exposure.
+#[derive(Default)]
+pub(crate) struct WinRegistry {
+    entries: Mutex<HashMap<u64, Registration>>,
+}
+
+impl WinRegistry {
+    fn entries(&self) -> MutexGuard<'_, HashMap<u64, Registration>> {
+        // Every update is one insert, remove or field write, so the table
+        // stays consistent even if a panic poisoned the lock.
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Deposit `rank`'s exposure for window `seq` of a world of `n`.
+    fn deposit(self: &Arc<Self>, seq: u64, rank: Rank, n: u32, mine: Arc<WinBuf>) -> Deposit {
+        let mut entries = self.entries();
+        let entry = entries.entry(seq).or_insert_with(|| Registration::Open {
+            handles: vec![None; n as usize],
+            unread: n,
+        });
+        // A failed entry stays failed; a late rank's exposure just drops.
+        if let Registration::Open { handles, .. } = entry {
+            handles[rank as usize] = Some(mine);
+        }
+        Deposit {
+            registry: Arc::clone(self),
+            seq,
+            failure: Some(CommError::RankFailed { rank }),
+        }
+    }
+
+    /// Number of exposures the table still holds, over all entries.
+    #[cfg(test)]
+    pub(crate) fn pinned_exposures(&self) -> usize {
+        self.entries()
+            .values()
+            .map(|entry| match entry {
+                Registration::Open { handles, .. } => handles.iter().flatten().count(),
+                Registration::Failed(_) => 0,
+            })
+            .sum()
+    }
+}
+
+/// One rank's pending deposit in the [`WinRegistry`].
+struct Deposit {
+    registry: Arc<WinRegistry>,
+    seq: u64,
+    /// What dropping the deposit records for the ranks still to read it:
+    /// the depositor's own death (a crash unwinding through `win_create`)
+    /// unless [`Deposit::fail`] names the error or [`Deposit::pick_up`]
+    /// clears it.
+    failure: Option<CommError>,
+}
+
+impl Deposit {
+    /// Read every rank's handle after the opening barrier; the last reader
+    /// removes the entry.
+    fn pick_up(mut self) -> Result<Vec<Arc<WinBuf>>, CommError> {
+        self.failure = None;
+        let mut entries = self.registry.entries();
+        match entries.get_mut(&self.seq) {
+            Some(Registration::Open { handles, unread }) => {
+                let all = handles
+                    .iter()
+                    .map(|h| {
+                        let h = h.as_ref();
+                        Arc::clone(h.expect("every rank deposits before the opening barrier"))
+                    })
+                    .collect();
+                *unread -= 1;
+                if *unread == 0 {
+                    entries.remove(&self.seq);
+                }
+                Ok(all)
+            }
+            Some(Registration::Failed(e)) => Err(e.clone()),
+            None => unreachable!("the entry outlives every rank that has not picked it up"),
+        }
+    }
+
+    /// Fail the creation with `e` for every rank that has not picked it
+    /// up yet.
+    fn fail(mut self, e: CommError) {
+        self.failure = Some(e);
+    }
+}
+
+impl Drop for Deposit {
+    fn drop(&mut self) {
+        if let Some(e) = self.failure.take() {
+            self.registry
+                .entries()
+                .insert(self.seq, Registration::Failed(e));
+        }
     }
 }
 
@@ -71,8 +191,8 @@ impl Comm {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Fallible [`Comm::win_create`]: the handle handshake and the opening
-    /// fence detect rank deaths and fail with [`CommError`] instead of
+    /// Fallible [`Comm::win_create`]: the entry guard and the opening
+    /// barrier detect rank deaths and fail with [`CommError`] instead of
     /// timing out.
     pub fn try_win_create(&mut self, local_size: usize) -> Result<Window, CommError> {
         self.enter_phase("win_create");
@@ -84,21 +204,6 @@ impl Comm {
     fn try_win_create_inner(&mut self, local_size: usize) -> Result<Window, CommError> {
         self.tracer()
             .gauge_bytes("win_local_bytes", local_size as u64);
-        // Window and collective sequence numbers must advance exactly once
-        // per call on every rank, even when this rank bails out early:
-        // survivors that fail at different points must still agree on the
-        // tag namespace of their next operation.
-        self.win_seq += 1;
-        let seq = self.win_seq;
-        let epoch = match self.coll_entry_guard() {
-            Ok(epoch) => epoch,
-            Err(e) => {
-                self.next_op(); // the closing fence's sequence slot
-                return Err(e);
-            }
-        };
-        let me = self.rank();
-        let n = self.size();
         // Pool-backed exposure: recycled buffers arrive cleared, so the
         // resize zero-fills and every window starts all-zero (put offsets
         // may leave gaps that readers expect to be zero).
@@ -108,43 +213,25 @@ impl Comm {
             data: Mutex::new(backing),
             size: local_size,
         });
-        for dst in 0..n {
-            if dst != me {
-                self.ctrl_send(
-                    dst,
-                    CtrlMsg::Win {
-                        src: me,
-                        seq,
-                        handle: Arc::clone(&mine),
-                    },
-                );
-            }
+        // The window and collective sequence numbers advance exactly once
+        // per call on every rank, failed or not (the barrier's entry guard
+        // refuses a world with a dead rank), so survivors stay in step.
+        self.win_seq += 1;
+        let deposit = self
+            .win_registry()
+            .deposit(self.win_seq, self.rank(), self.size(), mine);
+        // Opening barrier: every rank has deposited before any rank reads
+        // the handles, and no rank may put before every rank has exposed.
+        if let Err(e) = self.try_barrier() {
+            deposit.fail(e.clone());
+            return Err(e);
         }
-        let mut handles: Vec<Option<Arc<WinBuf>>> = (0..n).map(|_| None).collect();
-        handles[me as usize] = Some(mine);
-        for src in 0..n {
-            if src != me {
-                match self.try_ctrl_recv_win(src, seq, epoch) {
-                    Ok(h) => handles[src as usize] = Some(h),
-                    Err(e) => {
-                        self.next_op(); // the closing fence's sequence slot
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        let window = Window {
-            rank: me,
-            handles: handles
-                .into_iter()
-                .map(|h| h.expect("all handles collected"))
-                .collect(),
+        Ok(Window {
+            rank: self.rank(),
+            handles: deposit.pick_up()?,
             counters: Arc::clone(self.counters()),
             fault_rt: self.fault_rt().cloned(),
-        };
-        // Opening fence: no rank may put before every rank has exposed.
-        self.try_barrier()?;
-        Ok(window)
+        })
     }
 }
 
